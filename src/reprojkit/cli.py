@@ -45,7 +45,6 @@ from .evaluation import (
     matching_score,
     mma,
     pose_auc,
-    pose_error,
     pose_split_eval,
     register_pair,
     repeatability,
@@ -138,8 +137,7 @@ def synth(config_path, seed, out, threads):
 def _sampled_pairs(cfg: RunConfig, n_frames: int, params=None) -> list[tuple[int, int]]:
     params = params if params is not None else cfg.sampling
     params = replace(params, seed=_derive_seed(cfg.seed, params.seed, 1))
-    sampler = PairSampler(n_frames, params)
-    return [sampler.sample() for _ in range(cfg.n_pairs)]
+    return PairSampler(n_frames, params).draw(cfg.n_pairs)
 
 
 @main.command()
@@ -231,8 +229,8 @@ def _eval_homography(cfg: RunConfig, data, drawn, views, threads) -> dict:
         v1, v2 = views[i], views[j]
         H_gt = _plane_homography(plane, v1, v2)
         pts1, pts2, mpts1, mpts2 = _matched_points(v1, v2, ev)
-        dims = (v1.cam.width, v1.cam.height)
-        gt = HomographyMap(H_gt, dims, (v2.cam.width, v2.cam.height))
+        dims = (v1.cam.height, v1.cam.width)
+        gt = HomographyMap(H_gt, dims, (v2.cam.height, v2.cam.width))
         try:
             est = estimate_homography(mpts1, mpts2,
                                       threshold=ev.homography_threshold_px,
@@ -295,15 +293,7 @@ def _eval_pose(cfg: RunConfig, data, drawn, views, threads) -> dict:
                "split": split["split"],
                "low_translation": render(split["low_translation"]),
                "general": render(split["general"])}
-    pooled = []
-    for rec in records:
-        if rec.estimate is None:
-            pooled.append(np.inf)
-            continue
-        rot_only = np.linalg.norm(rec.gt_translation) <= ev.translation_split
-        pooled.append(pose_error(rec.estimate, rec.gt_rotation,
-                                 rec.gt_translation, rotation_only=rot_only))
-    for t, v in pose_auc(pooled, thresholds=ev.pose_auc_deg).items():
+    for t, v in split["auc"].items():
         results[f"auc@{t:g}"] = v
     return results
 
@@ -359,62 +349,6 @@ def eval_cmd(task, config_path, seed, out, threads):
     click.echo(f"eval {task}: {len(drawn)} pairs, {results['failed']} failed")
 
 
-def _descriptor_fd_error(rng) -> float:
-    """Max relative central-difference error on one random loss instance."""
-    grid = (3, 3)
-    dim = 6
-    h = 1e-4
-    while True:
-        d1 = rng.normal(size=grid + (dim,))
-        d2 = rng.normal(size=grid + (dim,))
-        d1 /= np.linalg.norm(d1, axis=-1, keepdims=True)
-        d2 /= np.linalg.norm(d2, axis=-1, keepdims=True)
-        S = rng.random(grid + grid) < 0.12
-        params = losses.DescriptorLossParams()
-        sims = np.einsum("ijd,kld->ijkl", d1, d2)
-        margins = np.where(S, np.abs(sims - params.positive_margin),
-                           np.abs(sims - params.negative_margin))
-        if margins.min() > 10 * h:
-            break
-    _, g1, g2 = losses.descriptor_loss(d1, d2, S, params)
-    worst = 0.0
-    for d, g in ((d1, g1), (d2, g2)):
-        fd = np.zeros_like(g)
-        flat = d.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up = losses.descriptor_loss(d1, d2, S, params)[0]
-            flat[k] = orig - h
-            dn = losses.descriptor_loss(d1, d2, S, params)[0]
-            flat[k] = orig
-            fd.reshape(-1)[k] = (up - dn) / (2 * h)
-        scale = max(float(np.abs(g).max()), 1e-12)
-        worst = max(worst, float(np.abs(fd - g).max()) / scale)
-    return worst
-
-
-def _detector_fd_error(rng) -> float:
-    cells = (2, 3)
-    h = 1e-4
-    logits = rng.normal(size=cells + (65,))
-    pts = np.array([[float(rng.integers(0, 24)), float(rng.integers(0, 16))]
-                    for _ in range(3)])
-    loss, grad = losses.detector_loss(logits, pts)
-    fd = np.zeros_like(grad)
-    flat = logits.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        up = losses.detector_loss(logits, pts)[0]
-        flat[k] = orig - h
-        dn = losses.detector_loss(logits, pts)[0]
-        flat[k] = orig
-        fd.reshape(-1)[k] = (up - dn) / (2 * h)
-    scale = max(float(np.abs(grad).max()), 1e-12)
-    return float(np.abs(fd - grad).max()) / scale
-
-
 @main.command()
 @click.option("--instances", type=click.IntRange(min=1), default=25,
               help="Random instances per loss.")
@@ -423,8 +357,8 @@ def losscheck(instances, config_path, seed, out, threads):
     """Verify analytic loss gradients against finite differences."""
     cfg = _load_run_config(config_path, seed, out)
     rng = np.random.default_rng(_derive_seed(cfg.seed, 5))
-    desc_err = max(_descriptor_fd_error(rng) for _ in range(instances))
-    det_err = max(_detector_fd_error(rng) for _ in range(instances))
+    desc_err = max(losses.descriptor_fd_error(rng, cfg.loss) for _ in range(instances))
+    det_err = max(losses.detector_fd_error(rng) for _ in range(instances))
     tol = 1e-3
     passed = desc_err <= tol and det_err <= tol
     _write_report(cfg, "losscheck", {

@@ -12,16 +12,7 @@ from .correspondence import PairSamplingParams
 from .errors import ConfigError, InvalidSpecError
 from .geometry import CameraIntrinsics, ReprojectionParams
 from .losses import DescriptorLossParams
-from .scene import (
-    PRIMITIVE_KINDS,
-    Box,
-    Plane,
-    SceneSpec,
-    Sphere,
-    TrajectorySpec,
-    texture_from_dict,
-    texture_to_dict,
-)
+from .scene import Box, Plane, SceneSpec, Sphere, TrajectorySpec
 from .textures import CheckerTexture, NoiseTexture
 
 
@@ -200,26 +191,10 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def scene_to_dict(spec: SceneSpec, cam: CameraIntrinsics) -> dict:
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Plane):
-            prims.append({"kind": "plane", "origin": list(p.origin),
-                          "normal": list(p.normal), "u_axis": list(p.u_axis),
-                          "half_u": p.half_u, "half_v": p.half_v,
-                          "texture": p.texture})
-        elif isinstance(p, Box):
-            prims.append({"kind": "box", "center": list(p.center),
-                          "half_size": list(p.half_size), "texture": p.texture})
-        elif isinstance(p, Sphere):
-            prims.append({"kind": "sphere", "center": list(p.center),
-                          "radius": p.radius, "texture": p.texture})
-        else:
-            raise InvalidSpecError(f"unknown primitive {p!r}")
+    """A scene file: the camera block plus ``SceneSpec.to_dict``."""
     return {"camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
                        "width": cam.width, "height": cam.height},
-            "background": list(spec.background),
-            "textures": [texture_to_dict(t) for t in spec.textures],
-            "primitives": prims}
+            **spec.to_dict()}
 
 
 def scene_from_dict(d: dict) -> tuple[SceneSpec, CameraIntrinsics]:
@@ -227,18 +202,7 @@ def scene_from_dict(d: dict) -> tuple[SceneSpec, CameraIntrinsics]:
         c = d["camera"]
         cam = CameraIntrinsics(fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
                                width=c["width"], height=c["height"])
-        textures = tuple(texture_from_dict(t) for t in d["textures"])
-        prims = []
-        for p in d["primitives"]:
-            kind = p.get("kind")
-            if kind not in PRIMITIVE_KINDS:
-                raise InvalidSpecError(f"unknown primitive kind {kind!r}")
-            args = {k: tuple(v) if isinstance(v, list) else v
-                    for k, v in p.items() if k != "kind"}
-            prims.append(PRIMITIVE_KINDS[kind](**args))
-        background = tuple(d.get("background", (0.04, 0.05, 0.08)))
-        spec = SceneSpec(primitives=tuple(prims), textures=textures,
-                         background=background)
+        spec = SceneSpec.from_dict(d)
     except (KeyError, TypeError, ValueError, InvalidSpecError) as e:
         raise ConfigError(f"malformed scene: {e}") from e
     return spec, cam

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import write_pfm, write_pgm
 from .errors import EmptySceneError, InvalidSpecError, ShapeError
-from .geometry import RenderedView, ReprojectionParams, reproject_points
+from .geometry import RenderedView, ReprojectionParams, apply_homography, reproject_points
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class PairSampler:
 
     def draw(self, k: int) -> list[tuple[int, int]]:
         return [self.sample() for _ in range(k)]
-
-
-def sample_pair(dataset, params: PairSamplingParams) -> tuple[int, int]:
-    """One uniformly sampled admissible pair from a dataset (or frame count)."""
-    n = dataset if isinstance(dataset, int) else len(dataset)
-    return PairSampler(n, params).sample()
 
 
 @dataclass(frozen=True)
@@ -190,9 +184,7 @@ def cell_correspondence_homography(H: np.ndarray, dims: tuple[int, int],
     if min(cells) == 0:
         raise ShapeError(f"images smaller than one {cell}x{cell} cell")
     centers = cell_centers(*cells, cell).reshape(-1, 2)
-    hom = np.column_stack([centers, np.ones(len(centers))]) @ H.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mapped = hom[:, :2] / hom[:, 2:]
+    mapped = apply_homography(H, centers)
     ok = np.isfinite(mapped).all(axis=1)
     mapped = np.where(ok[:, None], mapped, 0.0)
     pos = _match_cells(mapped.reshape(*cells, 2), ok.reshape(cells), cells, cells, cell, eps)

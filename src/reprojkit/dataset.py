@@ -19,30 +19,46 @@ from .errors import DatasetError, ShapeError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
 
 
-def write_ppm(path, image: np.ndarray):
-    image = np.asarray(image)
-    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"PPM wants uint8 HxWx3, got {image.dtype} {image.shape}")
-    h, w = image.shape[:2]
+# format name -> (magic number, trailing array shape, layout for messages)
+_PNM_FORMATS = {"PPM": (b"P6", (3,), "HxWx3"), "PGM": (b"P5", (), "HxW")}
+
+
+def _write_pnm(path, pixels: np.ndarray, fmt: str):
+    """Binary 8-bit PNM: PPM for RGB images, PGM for grayscale."""
+    magic, tail, layout = _PNM_FORMATS[fmt]
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8 or pixels.ndim != 2 + len(tail) or pixels.shape[2:] != tail:
+        raise ShapeError(f"{fmt} wants uint8 {layout}, got {pixels.dtype} {pixels.shape}")
+    h, w = pixels.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(image.tobytes())
+        f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        f.write(pixels.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_pnm(path, fmt: str) -> np.ndarray:
+    magic, tail, _ = _PNM_FORMATS[fmt]
+    channels = int(np.prod(tail))
     with open(path, "rb") as f:
         data = f.read()
     try:
-        magic, dims, maxval, rest = data.split(b"\n", 3)
+        head, dims, maxval, rest = data.split(b"\n", 3)
         w, h = (int(v) for v in dims.split())
-        if magic != b"P6" or int(maxval) != 255:
-            raise ValueError("unsupported PPM variant")
-        pixels = np.frombuffer(rest[: w * h * 3], dtype=np.uint8)
-        if pixels.size != w * h * 3:
+        if head != magic or int(maxval) != 255:
+            raise ValueError(f"unsupported {fmt} variant")
+        pixels = np.frombuffer(rest[: w * h * channels], dtype=np.uint8)
+        if pixels.size != w * h * channels:
             raise ValueError("truncated pixel data")
     except ValueError as e:
-        raise DatasetError(f"corrupt PPM {path}: {e}") from e
-    return pixels.reshape(h, w, 3).copy()
+        raise DatasetError(f"corrupt {fmt} {path}: {e}") from e
+    return pixels.reshape((h, w) + tail).copy()
+
+
+def write_ppm(path, image: np.ndarray):
+    _write_pnm(path, image, "PPM")
+
+
+def read_ppm(path) -> np.ndarray:
+    return _read_pnm(path, "PPM")
 
 
 def write_pfm(path, values: np.ndarray):
@@ -74,29 +90,11 @@ def read_pfm(path) -> np.ndarray:
 
 
 def write_pgm(path, values: np.ndarray):
-    values = np.asarray(values)
-    if values.dtype != np.uint8 or values.ndim != 2:
-        raise ShapeError(f"PGM wants uint8 HxW, got {values.dtype} {values.shape}")
-    h, w = values.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(values.tobytes())
+    _write_pnm(path, values, "PGM")
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        magic, dims, maxval, rest = data.split(b"\n", 3)
-        w, h = (int(v) for v in dims.split())
-        if magic != b"P5" or int(maxval) != 255:
-            raise ValueError("unsupported PGM variant")
-        vals = np.frombuffer(rest[: w * h], dtype=np.uint8)
-        if vals.size != w * h:
-            raise ValueError("truncated pixel data")
-    except ValueError as e:
-        raise DatasetError(f"corrupt PGM {path}: {e}") from e
-    return vals.reshape(h, w).copy()
+    return _read_pnm(path, "PGM")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from .homography import (
     corner_error,
     estimate_homography,
     fit_homography,
-    homography_metrics,
     transfer_error,
 )
 from .metrics import (
@@ -50,7 +49,6 @@ __all__ = [
     "estimate_essential",
     "estimate_homography",
     "fit_homography",
-    "homography_metrics",
     "kabsch_weighted",
     "lift_to_camera",
     "matching_score",

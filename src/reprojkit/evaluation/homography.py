@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EstimationFailedError, ShapeError
+from ..geometry import apply_homography
 
 
 def _as_matches(pts1, pts2):
@@ -56,10 +57,7 @@ def fit_homography(pts1, pts2) -> np.ndarray:
 
 
 def transfer_error(H: np.ndarray, pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
-    hom = np.column_stack([pts1, np.ones(len(pts1))]) @ H.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mapped = hom[:, :2] / hom[:, 2:]
-    err = np.linalg.norm(mapped - pts2, axis=1)
+    err = np.linalg.norm(apply_homography(H, pts1) - pts2, axis=1)
     return np.where(np.isfinite(err), err, np.inf)
 
 
@@ -106,18 +104,5 @@ def corner_error(H_est: np.ndarray, H_gt: np.ndarray, dims: tuple[int, int]) -> 
     """Mean displacement of the four image corners between two homographies."""
     h, w = dims
     corners = np.array([[0.0, 0.0], [w - 1.0, 0.0], [w - 1.0, h - 1.0], [0.0, h - 1.0]])
-
-    def warp(H):
-        hom = np.column_stack([corners, np.ones(4)]) @ np.asarray(H, dtype=np.float64).T
-        return hom[:, :2] / hom[:, 2:]
-
-    return float(np.linalg.norm(warp(H_est) - warp(H_gt), axis=1).mean())
-
-
-def homography_metrics(H_est, H_gt, dims, thresholds=(3.0, 5.0)) -> dict:
-    """Corner error plus accuracy flags at each pixel threshold."""
-    err = corner_error(H_est, H_gt, dims)
-    out = {"corner_error": err}
-    for t in thresholds:
-        out[f"accuracy@{t:g}"] = err <= t
-    return out
+    shift = apply_homography(H_est, corners) - apply_homography(H_gt, corners)
+    return float(np.linalg.norm(shift, axis=1).mean())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidSpecError, ShapeError
-from ..geometry import RenderedView, ReprojectionParams, reproject_points
+from ..geometry import RenderedView, ReprojectionParams, apply_homography, reproject_points
 
 
 class HomographyMap:
@@ -29,9 +29,7 @@ class HomographyMap:
     def transfer(self, pts: np.ndarray):
         """Map (N, 2) pixels; ok = finite transfer landing inside image 2."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        hom = np.column_stack([pts, np.ones(len(pts))]) @ self.H.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mapped = hom[:, :2] / hom[:, 2:]
+        mapped = apply_homography(self.H, pts)
         h, w = self.dims2
         ok = (np.isfinite(mapped).all(axis=1)
               & (mapped[:, 0] >= 0) & (mapped[:, 0] <= w - 1)

@@ -27,12 +27,6 @@ class RelativePose:
     inliers: np.ndarray | None = None
 
 
-def _normalized(pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
-    return np.column_stack([(pts[:, 0] - cam.cx) / cam.fx,
-                            (pts[:, 1] - cam.cy) / cam.fy,
-                            np.ones(len(pts))])
-
-
 def _fit_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Least-squares E over >= 8 normalized points, projected to rank 2."""
     A = (x2[:, :, None] * x1[:, None, :]).reshape(len(x1), 9)
@@ -89,8 +83,8 @@ def estimate_essential(pts1, pts2, cam1: CameraIntrinsics, cam2: CameraIntrinsic
     n = len(pts1)
     if n < 8:
         raise EstimationFailedError(f"essential matrix needs >= 8 matches, got {n}")
-    x1 = _normalized(pts1, cam1)
-    x2 = _normalized(pts2, cam2)
+    x1 = cam1.pixel_rays(pts1)
+    x2 = cam2.pixel_rays(pts2)
     thr = threshold_px / np.mean([cam1.fx, cam1.fy, cam2.fx, cam2.fy])
     rng = np.random.default_rng(rng)
     best_count = 0
@@ -178,20 +172,25 @@ def pose_split_eval(records, split: float = TRANSLATION_SPLIT,
     Pairs with ||t_gt|| <= split use the angular rotation error alone
     (their translation direction is unreliable); the rest use
     max(rotation, translation) error. Empty partitions report count 0
-    and no AUC values.
+    and no AUC values. The top-level ``auc`` pools both partitions'
+    errors in record order; it is absent when there are no records.
     """
-    low, high = [], []
+    low, high, pooled = [], [], []
     for rec in records:
         norm = float(np.linalg.norm(rec.gt_translation))
         bucket, rotation_only = (low, True) if norm <= split else (high, False)
         if rec.estimate is None:
-            bucket.append(np.inf)
+            err = np.inf
         else:
-            bucket.append(pose_error(rec.estimate, rec.gt_rotation,
-                                     rec.gt_translation, rotation_only=rotation_only))
+            err = pose_error(rec.estimate, rec.gt_rotation,
+                             rec.gt_translation, rotation_only=rotation_only)
+        bucket.append(err)
+        pooled.append(err)
     report = {"split": float(split),
               "low_translation": {"count": len(low), "rotation_only": True},
               "general": {"count": len(high), "rotation_only": False}}
+    if pooled:
+        report["auc"] = pose_auc(pooled, thresholds)
     if low:
         report["low_translation"]["auc"] = pose_auc(low, thresholds)
     if high:

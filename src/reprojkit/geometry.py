@@ -269,6 +269,18 @@ def project(P: np.ndarray, cam: CameraIntrinsics, pose: PoseSE3):
     return pix, z
 
 
+def apply_homography(H: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Map (N, 2) pixels through a 3x3 homography.
+
+    Points sent to infinity come back inf or NaN, without a warning;
+    each caller decides what a non-finite or out-of-image result means.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    hom = np.column_stack([points, np.ones(len(points))]) @ np.asarray(H, dtype=np.float64).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hom[:, :2] / hom[:, 2:]
+
+
 def ray_distance_to_z(p: np.ndarray, d, cam: CameraIntrinsics):
     """Convert ray distance along the pixel ray of ``p`` into z-depth."""
     rays = cam.pixel_rays(p)

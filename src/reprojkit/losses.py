@@ -155,3 +155,63 @@ def detector_loss(logits: np.ndarray, labels, cell: int = 8):
     grad = softmax.copy()
     grad[gy, gx, targets] -= 1.0
     return loss, grad / n_cells
+
+
+def _max_rel_fd_error(loss, x: np.ndarray, grad: np.ndarray, h: float) -> float:
+    """Max central-difference error against ``grad``, relative to its largest entry.
+
+    ``loss()`` must read ``x``; each entry of ``x`` is perturbed in place
+    by +-h and restored.
+    """
+    fd = np.zeros_like(grad)
+    flat = x.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        up = loss()
+        flat[k] = orig - h
+        dn = loss()
+        flat[k] = orig
+        fd.reshape(-1)[k] = (up - dn) / (2 * h)
+    scale = max(float(np.abs(grad).max()), 1e-12)
+    return float(np.abs(fd - grad).max()) / scale
+
+
+def descriptor_fd_error(rng: np.random.Generator,
+                        params: DescriptorLossParams = DescriptorLossParams()) -> float:
+    """Max relative central-difference error on one random loss instance.
+
+    Instances with a similarity within 10 difference steps of a hinge
+    kink are redrawn, since the difference quotient is wrong across a kink.
+    """
+    grid = (3, 3)
+    dim = 6
+    h = 1e-4
+    while True:
+        d1 = rng.normal(size=grid + (dim,))
+        d2 = rng.normal(size=grid + (dim,))
+        d1 /= np.linalg.norm(d1, axis=-1, keepdims=True)
+        d2 /= np.linalg.norm(d2, axis=-1, keepdims=True)
+        S = rng.random(grid + grid) < 0.12
+        sims = np.einsum("ijd,kld->ijkl", d1, d2)
+        margins = np.where(S, np.abs(sims - params.positive_margin),
+                           np.abs(sims - params.negative_margin))
+        if margins.min() > 10 * h:
+            break
+    _, g1, g2 = descriptor_loss(d1, d2, S, params)
+
+    def loss():
+        return descriptor_loss(d1, d2, S, params)[0]
+
+    return max(_max_rel_fd_error(loss, d1, g1, h), _max_rel_fd_error(loss, d2, g2, h))
+
+
+def detector_fd_error(rng: np.random.Generator) -> float:
+    """Max relative central-difference error on one random detector instance."""
+    cells = (2, 3)
+    h = 1e-4
+    logits = rng.normal(size=cells + (65,))
+    pts = np.array([[float(rng.integers(0, 24)), float(rng.integers(0, 16))]
+                    for _ in range(3)])
+    _, grad = detector_loss(logits, pts)
+    return _max_rel_fd_error(lambda: detector_loss(logits, pts)[0], logits, grad, h)

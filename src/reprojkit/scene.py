@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import EmptySceneError, InvalidSpecError
+from .errors import EmptySceneError, InvalidSpecError, ReprojkitError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
 from .textures import _as_color, texture_from_dict, texture_to_dict
 
@@ -167,11 +167,18 @@ class SceneSpec:
         object.__setattr__(self, "textures", tuple(self.textures))
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        """Nearest hit over all primitives: (t, primitive index); miss = inf/-1."""
-        ts = np.stack([p.intersect(origins, dirs)[0] for p in self.primitives], axis=0)
+        """Nearest hit over all primitives: (t, primitive index, uvs).
+
+        A miss has t = inf and index -1. ``uvs`` lists each primitive's
+        (..., 2) texture coordinates for every ray, in primitive order;
+        only the entries where the index selects that primitive are hits
+        on it.
+        """
+        hits = [p.intersect(origins, dirs) for p in self.primitives]
+        ts = np.stack([t for t, _ in hits], axis=0)
         idx = np.argmin(ts, axis=0)
         t = np.take_along_axis(ts, idx[None], axis=0)[0]
-        return t, np.where(np.isfinite(t), idx, -1)
+        return t, np.where(np.isfinite(t), idx, -1), [uv for _, uv in hits]
 
     def to_dict(self) -> dict:
         prims = []
@@ -206,7 +213,10 @@ class SceneSpec:
                           for k, v in pd.items() if k != "kind"}
                 prims.append(PRIMITIVE_KINDS[kind](**kwargs))
             return cls(tuple(prims), textures, tuple(d.get("background", (0.04, 0.05, 0.08))))
-        except (KeyError, TypeError) as e:
+        except ReprojkitError:
+            # the toolkit's own errors are ValueErrors too; keep their type
+            raise
+        except (KeyError, TypeError, ValueError) as e:
             raise InvalidSpecError(f"malformed scene spec: {e}") from e
 
 
@@ -297,19 +307,12 @@ def render_view(scene: SceneSpec, cam: CameraIntrinsics, pose: PoseSE3,
     dirs = dirs @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs.shape)
 
-    ts, uvs = [], []
-    for p in scene.primitives:
-        t, uv = p.intersect(origins, dirs)
-        ts.append(t)
-        uvs.append(uv)
-    ts = np.stack(ts, axis=0)
-    nearest = np.argmin(ts, axis=0)
-    t = np.take_along_axis(ts, nearest[None], axis=0)[0]
-    valid = np.isfinite(t)
+    t, nearest, uvs = scene.intersect(origins, dirs)
+    valid = nearest >= 0
 
     color = np.broadcast_to(_as_color(scene.background), (pix.shape[0], 3)).copy()
     for i, prim in enumerate(scene.primitives):
-        mask = valid & (nearest == i)
+        mask = nearest == i
         if not mask.any():
             continue
         uv = uvs[i][mask]

@@ -21,7 +21,7 @@ from test_correspondence import oracle_positives
 from test_eval_pose import two_view_matches
 from test_eval_registration import textured_pair
 
-from reprojkit import cli, frontend
+from reprojkit import cli, frontend, losses
 from reprojkit.adaptation import AdaptationParams, pseudo_labels_for_frame
 from reprojkit.config import config_to_dict, default_config, load_scene
 from reprojkit.correspondence import (cell_centers, cell_correspondence_homography,
@@ -96,7 +96,7 @@ def test_02_reprojection_matches_analytic_hits(capsys):
         dirs = rays / np.linalg.norm(rays, axis=-1, keepdims=True)
         dirs_w = dirs @ src.pose.rotation.T
         o1 = np.broadcast_to(src.pose.translation, dirs_w.shape)
-        t_hit, _ = spec.intersect(o1, dirs_w)
+        t_hit, _, _ = spec.intersect(o1, dirs_w)
         P = o1 + dirs_w * t_hit[:, None]
         X2 = (P - dst.pose.translation) @ dst.pose.rotation
         z2 = X2[:, 2]
@@ -109,7 +109,7 @@ def test_02_reprojection_matches_analytic_hits(capsys):
         vec = P - dst.pose.translation
         dist = np.linalg.norm(vec, axis=-1)
         with np.errstate(invalid="ignore"):
-            t2_hit, _ = spec.intersect(np.broadcast_to(dst.pose.translation, vec.shape),
+            t2_hit, _, _ = spec.intersect(np.broadcast_to(dst.pose.translation, vec.shape),
                                        vec / dist[:, None])
         keep = inb & (t2_hit >= dist - 1e-6)
         err = np.linalg.norm(impl[keep] - np.column_stack([px, py])[keep], axis=1)
@@ -227,8 +227,8 @@ def test_05_plane_rotation_routes_agree_exactly(capsys):
 
 def test_06_loss_gradients_and_exact_value(capsys):
     """Analytic gradients match central differences; degenerate value exact."""
-    desc_err = max(cli._descriptor_fd_error(default_rng([61, i])) for i in range(100))
-    det_err = max(cli._detector_fd_error(default_rng([62, i])) for i in range(100))
+    desc_err = max(losses.descriptor_fd_error(default_rng([61, i])) for i in range(100))
+    det_err = max(losses.detector_fd_error(default_rng([62, i])) for i in range(100))
 
     grid = np.zeros((4, 4, 8))
     grid[..., 0] = 1.0

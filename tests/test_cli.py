@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from reprojkit import cli
+from reprojkit import cli, losses
 from reprojkit.config import canonical_json, load_scene, scene_to_dict
 from reprojkit.geometry import CameraIntrinsics
 from reprojkit.scene import Plane, SceneSpec, Sphere
@@ -18,9 +18,10 @@ def runner():
     return CliRunner()
 
 
-def small_scene_file(tmp_path, plane_only=False):
-    cam = CameraIntrinsics(fx=64.0, fy=64.0, cx=31.5, cy=31.5,
-                           width=64, height=64)
+def small_scene_file(tmp_path, plane_only=False, size=(64, 64)):
+    width, height = size
+    cam = CameraIntrinsics(fx=64.0, fy=64.0, cx=(width - 1) / 2, cy=(height - 1) / 2,
+                           width=width, height=height)
     ground = Plane(origin=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
                    half_u=6.0, half_v=6.0, texture=0)
     if plane_only:
@@ -35,8 +36,8 @@ def small_scene_file(tmp_path, plane_only=False):
     return path
 
 
-def small_config_file(tmp_path, out_dir, plane_only=False, **extra):
-    scene = small_scene_file(tmp_path, plane_only=plane_only)
+def small_config_file(tmp_path, out_dir, plane_only=False, size=(64, 64), **extra):
+    scene = small_scene_file(tmp_path, plane_only=plane_only, size=size)
     data = {"scene": scene.name,
             "trajectory": {"kind": "line", "frames": 14, "radius": 2.0,
                            "height": 1.2},
@@ -184,6 +185,31 @@ class TestEval:
                     "mma", "matching_score", "pairs", "failed"):
             assert key in r
 
+    def test_homography_passes_height_width_on_wide_frames(self, runner, tmp_path,
+                                                          monkeypatch):
+        # corner_error and HomographyMap take (h, w); on a 96x64 frame a
+        # swapped (w, h) picks the wrong corners and image bounds
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, plane_only=True, size=(96, 64))
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        seen = []
+        real_map, real_corner_error = cli.HomographyMap, cli.corner_error
+
+        def spy_map(H, dims1, dims2):
+            seen.extend([dims1, dims2])
+            return real_map(H, dims1, dims2)
+
+        def spy_corner_error(H_est, H_gt, dims):
+            seen.append(dims)
+            return real_corner_error(H_est, H_gt, dims)
+
+        monkeypatch.setattr(cli, "HomographyMap", spy_map)
+        monkeypatch.setattr(cli, "corner_error", spy_corner_error)
+        res = self.run_eval(runner, cfg, "homography")
+        assert res.exit_code == 0, res.output
+        assert read_report(out)["results"]["failed"] < 3
+        assert len(seen) > 6 and set(seen) == {(64, 96)}
+
     def test_homography_needs_plane_scene(self, runner, tmp_path):
         out = tmp_path / "run"
         cfg = small_config_file(tmp_path, out, plane_only=False)
@@ -259,8 +285,24 @@ class TestLosscheck:
         assert runner.invoke(cli.main, args + ["--threads", "4"]).exit_code == 0
         assert (out / "report.json").read_bytes() == first
 
+    def test_checks_the_configured_loss(self, runner, tmp_path):
+        args = ["losscheck", "--instances", "2", "--seed", "2"]
+        assert runner.invoke(cli.main, args + ["--out", str(tmp_path / "a")]).exit_code == 0
+        loss = {"positive_margin": 0.9, "negative_margin": 0.3, "positive_weight": 50.0}
+        cfg = tmp_path / "loss.json"
+        cfg.write_text(json.dumps({"loss": loss}))
+        res = runner.invoke(cli.main, args + ["-c", str(cfg), "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+        default = read_report(tmp_path / "a")["results"]["descriptor_max_rel_error"]
+        configured = read_report(tmp_path / "b")["results"]["descriptor_max_rel_error"]
+        rng = np.random.default_rng(cli._derive_seed(2, 5))
+        params = losses.DescriptorLossParams(**loss)
+        expected = max(losses.descriptor_fd_error(rng, params) for _ in range(2))
+        assert configured == expected
+        assert configured != default
+
     def test_failure_exits_3(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_descriptor_fd_error", lambda rng: 0.5)
+        monkeypatch.setattr(losses, "descriptor_fd_error", lambda rng, params: 0.5)
         out = tmp_path / "lc"
         res = runner.invoke(cli.main, ["losscheck", "--out", str(out),
                                        "--instances", "1"])

@@ -12,7 +12,6 @@ from reprojkit.correspondence import (
     cell_correspondence_reprojection,
     dense_correspondences,
     read_cell_positives,
-    sample_pair,
     write_cell_correspondence,
     write_correspondence,
 )
@@ -41,7 +40,6 @@ def test_unique_pair_two_frames():
     sampler = PairSampler(2, params)
     for _ in range(5):
         assert sampler.sample() == (0, 1)
-    assert sample_pair(2, params) == (0, 1)
 
 
 def test_sampled_pairs_respect_offsets():

@@ -8,7 +8,6 @@ from reprojkit.evaluation import (
     corner_error,
     estimate_homography,
     fit_homography,
-    homography_metrics,
     transfer_error,
 )
 
@@ -136,11 +135,3 @@ class TestCornerError:
                                      va[1] / va[2] - vb[1] / vb[2]))
             assert corner_error(Ha, Hb, (h, w)) == pytest.approx(np.mean(errs))
 
-
-def test_homography_metrics_flags():
-    H = np.eye(3)
-    H[0, 2] = 4.0
-    m = homography_metrics(H, np.eye(3), (120, 160), thresholds=(3.0, 5.0))
-    assert m["corner_error"] == pytest.approx(4.0)
-    assert not m["accuracy@3"]
-    assert m["accuracy@5"]

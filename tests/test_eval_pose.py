@@ -224,6 +224,19 @@ class TestSplitEval:
         assert rep["low_translation"]["auc"] == pose_auc(low_errors)
         assert rep["general"]["auc"] == pose_auc(high_errors)
 
+    def test_pooled_auc_uses_record_order_errors(self):
+        recs = [self.record(3.0, 0.05), self.record(2.0, 0.4),
+                self.record(0.0, 0.3, fail=True), self.record(8.0, 0.01)]
+        rep = pose_split_eval(recs)
+        errors = [pose_error(recs[0].estimate, recs[0].gt_rotation,
+                             recs[0].gt_translation, rotation_only=True),
+                  pose_error(recs[1].estimate, recs[1].gt_rotation, recs[1].gt_translation),
+                  np.inf,
+                  pose_error(recs[3].estimate, recs[3].gt_rotation,
+                             recs[3].gt_translation, rotation_only=True)]
+        assert rep["auc"] == pose_auc(errors)
+        assert "auc" not in pose_split_eval([])
+
     def test_low_partition_ignores_translation_direction(self):
         R_gt = np.eye(3)
         est = RelativePose(R_gt, np.array([0.0, 0.0, 1.0]))

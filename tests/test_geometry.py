@@ -12,6 +12,7 @@ from reprojkit.geometry import (
     RejectReason,
     RenderedView,
     ReprojectionParams,
+    apply_homography,
     backproject,
     project,
     ray_distance_to_z,
@@ -299,6 +300,21 @@ class TestPose:
         again = PoseSE3.from_matrix(pose.matrix)
         np.testing.assert_array_equal(again.rotation, pose.rotation)
         np.testing.assert_array_equal(again.translation, pose.translation)
+
+
+class TestApplyHomography:
+    def test_matches_per_point_division(self):
+        rng = np.random.default_rng(24)
+        H = np.eye(3) + rng.normal(0.0, 0.1, (3, 3))
+        pts = rng.uniform(0, 100, (6, 2))
+        expected = [(H @ [x, y, 1.0])[:2] / (H @ [x, y, 1.0])[2] for x, y in pts]
+        np.testing.assert_allclose(apply_homography(H, pts), expected, rtol=1e-12)
+
+    def test_point_at_infinity_is_not_finite(self):
+        H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        mapped = apply_homography(H, np.array([[0.0, 5.0], [2.0, 5.0]]))
+        assert not np.isfinite(mapped[0]).any()
+        np.testing.assert_allclose(mapped[1], [1.0, 2.5])
 
 
 class TestValidation:

@@ -14,7 +14,7 @@ from reprojkit.scene import (
     look_at,
     render_view,
 )
-from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture
+from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture, texture_to_dict
 
 CAM = default_cam(width=81, height=61, f=60.0)
 CHECKER = CheckerTexture(scale=0.1)
@@ -125,6 +125,18 @@ class TestRenderDepth:
         view = render_view(scene, CAM, PoseSE3.identity())
         assert not view.depth.valid[0, 0]
         np.testing.assert_array_equal(view.image[0, 0], np.rint(np.array([0.2, 0.4, 0.6]) * 255))
+
+    def test_intersect_returns_each_primitives_uv(self):
+        scene = simple_scene(Plane((0, 0, 2.0), (0, 0, -1.0), 5.0, 5.0),
+                             Sphere((0.3, 0.1, 1.5), 0.4))
+        o, d = oracle_rays(CAM, PoseSE3.identity())
+        t, idx, uvs = scene.intersect(o, d)
+        assert len(uvs) == 2
+        for i, prim in enumerate(scene.primitives):
+            t_i, uv_i = prim.intersect(o, d)
+            np.testing.assert_array_equal(uvs[i], uv_i)
+            np.testing.assert_array_equal(t[idx == i], t_i[idx == i])
+        assert np.all(np.isinf(t[idx == -1]))
 
     def test_render_is_deterministic(self):
         scene = simple_scene(Plane((0, 0, 2.0), (0, 0, -1.0), 5.0, 5.0),
@@ -237,3 +249,7 @@ class TestSceneSpec:
     def test_malformed_dict_rejected(self):
         with pytest.raises(InvalidSpecError):
             SceneSpec.from_dict({"primitives": [{"kind": "torus"}], "textures": []})
+        bad_box = {"kind": "box", "center": [0, 0, 0], "half_size": ["a", "b", "c"]}
+        with pytest.raises(InvalidSpecError, match="malformed scene spec"):
+            SceneSpec.from_dict({"primitives": [bad_box],
+                                 "textures": [texture_to_dict(CHECKER)]})
