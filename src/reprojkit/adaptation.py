@@ -6,6 +6,13 @@ reprojected into the reference view, where small heatmap patches are
 stamped at the landing pixels. Aggregating the stamped masks with the
 reference heatmap and re-running non-maximum suppression yields the
 label set.
+
+Each frame's view, heatmap, NMS points and robust depth map are kept in a
+per-frame cache (``FrameEntry`` by frame index) that the caller owns.
+``generate_pseudo_labels`` slides one cache along the sequence: before
+labelling reference frame ``ref`` it evicts every index below ``ref``, so
+it holds at most ``window_len`` frames and computes each frame's work
+once, however many windows the frame falls in.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeError
-from .geometry import ReprojectionParams, reproject_points
+from .geometry import (
+    DepthMap,
+    RenderedView,
+    ReprojectionParams,
+    reproject_points,
+    robust_depth_map,
+)
 
 AGGREGATE_MODES = ("max", "mean", "sum")
 
@@ -85,34 +98,77 @@ class PseudoLabels:
     frame_index: int
 
 
-def _stamp_patch(mask: np.ndarray, src: np.ndarray, sx: int, sy: int,
-                 dx: int, dy: int, radius: int) -> None:
-    """Copy the (2r+1)^2 neighborhood of (sx, sy) in src onto mask at (dx, dy).
+@dataclass(frozen=True)
+class FrameEntry:
+    """One frame's share of pseudo-labelling, computed once per frame."""
+
+    view: RenderedView
+    heat: np.ndarray  # detector heatmap, float64, (H, W)
+    points: np.ndarray  # nms(heat) as (N, 2) int (x, y)
+    robust: DepthMap  # robust_depth_map(view.depth)
+
+
+def _cached_entry(cache: dict, views, i: int, detector, params: AdaptationParams,
+                  reproj: ReprojectionParams) -> FrameEntry:
+    """``cache[i]``, built from ``views[i]`` on first use.
+
+    Every frame's heatmap is checked against its image size here, so a
+    misbehaving detector fails on whichever frame it first misbehaves.
+    """
+    entry = cache.get(i)
+    if entry is None:
+        view = views[i]
+        heat = np.asarray(detector(view.image), dtype=np.float64)
+        if heat.shape != (view.cam.height, view.cam.width):
+            raise ShapeError(
+                f"frame {i}: detector heatmap shape {heat.shape} does not match "
+                f"the {view.cam.height}x{view.cam.width} image")
+        entry = cache[i] = FrameEntry(view, heat,
+                                      nms(heat, params.nms_radius, params.threshold),
+                                      robust_depth_map(view.depth, reproj))
+    return entry
+
+
+def _stamp_patches(mask: np.ndarray, src: np.ndarray, src_xy: np.ndarray,
+                   dst_xy: np.ndarray, radius: int) -> None:
+    """Copy the (2r+1)^2 neighborhood of each ``src_xy`` pixel in src onto
+    mask at the matching ``dst_xy`` pixel; both are (N, 2) int (x, y).
 
     Both neighborhoods are clipped at their image borders; overlapping
     stamps combine by per-pixel maximum so stamp order cannot matter.
     """
-    h, w = mask.shape
-    y0, y1 = -radius, radius + 1
-    x0, x1 = -radius, radius + 1
-    y0 = max(y0, -sy, -dy)
-    x0 = max(x0, -sx, -dx)
-    y1 = min(y1, src.shape[0] - sy, h - dy)
-    x1 = min(x1, src.shape[1] - sx, w - dx)
-    if y0 >= y1 or x0 >= x1:
-        return
-    piece = src[sy + y0:sy + y1, sx + x0:sx + x1]
-    region = mask[dy + y0:dy + y1, dx + x0:dx + x1]
-    np.maximum(region, piece, out=region)
+    sx, sy = src_xy[:, 0], src_xy[:, 1]
+    dx, dy = dst_xy[:, 0], dst_xy[:, 1]
+    offsets = range(-radius, radius + 1)
+
+    def inside(s, d, axis, o):
+        """Whether offset ``o`` along ``axis`` stays inside both images."""
+        return ((s + o >= 0) & (s + o < src.shape[axis])
+                & (d + o >= 0) & (d + o < mask.shape[axis]))
+
+    in_x = [inside(sx, dx, 1, o) for o in offsets]
+    for oy in offsets:
+        in_y = inside(sy, dy, 0, oy)
+        for ox, kx in zip(offsets, in_x):
+            keep = in_y & kx
+            np.maximum.at(mask, (dy[keep] + oy, dx[keep] + ox),
+                          src[sy[keep] + oy, sx[keep] + ox])
 
 
 def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
-                            reproj: ReprojectionParams) -> PseudoLabels:
+                            reproj: ReprojectionParams, *,
+                            cache: dict[int, FrameEntry] | None = None) -> PseudoLabels:
     """Labels for ``views[ref]`` from its window of following frames.
 
     ``views`` must expose ``views[i]`` as RenderedView and support len().
     The sampled-frame choice is seeded per (seed, ref), so every reference
     frame is reproducible in isolation.
+
+    ``cache`` maps frame index to FrameEntry. Entries missing from it are
+    built from ``views`` with ``detector`` and added, so a caller that
+    passes the same dict for overlapping windows reads, detects and
+    filters each frame once. It must only hold entries made from these
+    views, detector and parameters. Without it a private one is used.
     """
     n = len(views)
     if ref < 0 or ref + params.window_len > n:
@@ -122,48 +178,65 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
     others = np.arange(ref + 1, ref + params.window_len)
     picked = sorted(rng.choice(others, size=params.n_sampled, replace=False).tolist())
 
-    ref_view = views[ref]
-    heat = np.asarray(detector(ref_view.image), dtype=np.float64)
-    if heat.shape != (ref_view.cam.height, ref_view.cam.width):
-        raise ShapeError("detector heatmap shape does not match the image")
+    if cache is None:
+        cache = {}
+    dst = _cached_entry(cache, views, ref, detector, params, reproj)
+    heat = dst.heat
     pr = params.patch // 2
-    masks = []
+    # the per-frame stamp masks, combined as they are made: by maximum, or
+    # summed in ascending frame order
+    stamped = np.zeros_like(heat)
     for r in picked:
-        view_r = views[r]
-        heat_r = np.asarray(detector(view_r.image), dtype=np.float64)
-        points = nms(heat_r, params.nms_radius, params.threshold)
-        if len(points) == 0:
-            masks.append(np.zeros_like(heat))
+        src = _cached_entry(cache, views, r, detector, params, reproj)
+        if not len(src.points):
             continue
-        targets, _, reasons = reproject_points(points.astype(np.float64),
-                                               view_r, ref_view, reproj)
-        mask = np.zeros_like(heat)
-        for (sx, sy), target, reason in zip(points, targets, reasons):
-            if reason != 0:
-                continue
-            dx, dy = (int(v) for v in np.rint(target))
-            _stamp_patch(mask, heat_r, int(sx), int(sy), dx, dy, pr)
-        masks.append(mask)
+        targets, _, reasons = reproject_points(
+            src.points.astype(np.float64), src.view, dst.view, reproj,
+            src_robust=src.robust, dst_robust=dst.robust)
+        ok = reasons == 0
+        src_xy, dst_xy = src.points[ok], np.rint(targets[ok]).astype(int)
+        if params.aggregate == "max":
+            _stamp_patches(stamped, src.heat, src_xy, dst_xy, pr)
+        else:
+            mask = np.zeros_like(heat)
+            _stamp_patches(mask, src.heat, src_xy, dst_xy, pr)
+            stamped += mask
 
-    if params.aggregate == "max" or not masks:
+    if not picked:
         agg = heat.copy()
-        for m in masks:
-            np.maximum(agg, m, out=agg)
+    elif params.aggregate == "max":
+        agg = np.maximum(heat, stamped)
     elif params.aggregate == "mean":
-        agg = (heat + sum(masks)) / (1.0 + len(masks))
+        agg = (heat + stamped) / (1.0 + len(picked))
     else:
-        agg = np.clip(heat + sum(masks), 0.0, 1.0)
+        agg = np.clip(heat + stamped, 0.0, 1.0)
     return PseudoLabels(nms(agg, params.nms_radius, params.threshold), ref)
 
 
 def generate_pseudo_labels(views, detector, params: AdaptationParams,
                            reproj: ReprojectionParams) -> list[PseudoLabels]:
-    """Pseudo-labels for every reference frame with a full window after it."""
+    """Pseudo-labels for every reference frame with a full window after it.
+
+    One frame cache serves every window. Before reference frame ``ref``
+    is labelled, entries below ``ref`` are evicted and the window's frames
+    ``ref .. ref + window_len - 1`` are filled in ascending order. So the
+    cache never holds more than ``window_len`` frames, and each of
+    ``views[0] .. views[n - 1]`` is read, detected and filtered exactly
+    once, in order; ``views`` can be a lazy sequence that reads from disk.
+    """
     n = len(views)
     if n < params.window_len:
         raise InvalidSpecError(f"need at least {params.window_len} frames, have {n}")
-    return [pseudo_labels_for_frame(views, i, detector, params, reproj)
-            for i in range(n - params.window_len + 1)]
+    cache: dict[int, FrameEntry] = {}
+    labels = []
+    for ref in range(n - params.window_len + 1):
+        for i in [i for i in cache if i < ref]:
+            del cache[i]
+        for i in range(ref, ref + params.window_len):
+            _cached_entry(cache, views, i, detector, params, reproj)
+        labels.append(pseudo_labels_for_frame(views, ref, detector, params, reproj,
+                                              cache=cache))
+    return labels
 
 
 def write_labels(labels, path) -> None:

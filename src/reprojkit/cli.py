@@ -177,10 +177,10 @@ def labels(config_path, seed, out, threads):
     """Aggregate multi-view detections into pseudo-labels per frame."""
     cfg = _load_run_config(config_path, seed, out)
     data = read_dataset(cfg.output_dir)
-    views = [data.view(i) for i in range(len(data))]
     params = replace(cfg.adaptation,
                      seed=_derive_seed(cfg.seed, cfg.adaptation.seed, 2))
-    labels_all = adapt.generate_pseudo_labels(views, frontend.detect, params,
+    # frames are read lazily, each once, while a label window holds them
+    labels_all = adapt.generate_pseudo_labels(data, frontend.detect, params,
                                               cfg.reprojection)
     path = Path(cfg.output_dir) / "labels.txt"
     adapt.write_labels(labels_all, path)

@@ -115,6 +115,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def __getitem__(self, i: int) -> RenderedView:
+        """``data[i]`` is ``data.view(i)``: read from disk on every access."""
+        return self.view(i)
+
     def pose(self, i: int) -> PoseSE3:
         return self.frames[i].pose
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from reprojkit import adaptation
 from reprojkit.adaptation import (
     AdaptationParams,
     PseudoLabels,
+    _stamp_patches,
     generate_pseudo_labels,
     nms,
     pseudo_labels_for_frame,
@@ -13,7 +15,13 @@ from reprojkit.adaptation import (
     write_labels,
 )
 from reprojkit.errors import InvalidSpecError, ShapeError
-from reprojkit.geometry import PoseSE3, RenderedView, ReprojectionParams
+from reprojkit.geometry import (
+    PoseSE3,
+    RenderedView,
+    ReprojectionParams,
+    reproject_points,
+    robust_depth_map,
+)
 
 from helpers import default_cam, flat_view, plane_depth, rotation
 
@@ -243,6 +251,207 @@ class TestPseudoLabels:
             np.testing.assert_array_equal(lab.points, [[8, 8]])
         with pytest.raises(InvalidSpecError):
             generate_pseudo_labels(views[:3], det, params, ReprojectionParams())
+
+
+def _stamp_patch(mask, src, sx, sy, dx, dy, radius):
+    """Scalar oracle: copy the (2r+1)^2 neighborhood of (sx, sy) in src onto
+    mask at (dx, dy), both clipped at their borders, combined by maximum."""
+    h, w = mask.shape
+    y0 = max(-radius, -sy, -dy)
+    x0 = max(-radius, -sx, -dx)
+    y1 = min(radius + 1, src.shape[0] - sy, h - dy)
+    x1 = min(radius + 1, src.shape[1] - sx, w - dx)
+    if y0 >= y1 or x0 >= x1:
+        return
+    piece = src[sy + y0:sy + y1, sx + x0:sx + x1]
+    region = mask[dy + y0:dy + y1, dx + x0:dx + x1]
+    np.maximum(region, piece, out=region)
+
+
+def reference_pseudo_labels(views, ref, detector, params, reproj):
+    """Uncached oracle: detect, reproject and stamp one point at a time."""
+    rng = np.random.default_rng([params.seed, ref])
+    others = np.arange(ref + 1, ref + params.window_len)
+    picked = sorted(rng.choice(others, size=params.n_sampled, replace=False).tolist())
+    heat = np.asarray(detector(views[ref].image), dtype=np.float64)
+    masks = []
+    for r in picked:
+        heat_r = np.asarray(detector(views[r].image), dtype=np.float64)
+        points = nms(heat_r, params.nms_radius, params.threshold)
+        mask = np.zeros_like(heat)
+        if len(points):
+            targets, _, reasons = reproject_points(points.astype(np.float64),
+                                                   views[r], views[ref], reproj)
+            for (sx, sy), target, reason in zip(points, targets, reasons):
+                if reason == 0:
+                    dx, dy = (int(v) for v in np.rint(target))
+                    _stamp_patch(mask, heat_r, int(sx), int(sy), dx, dy, params.patch // 2)
+        masks.append(mask)
+    if params.aggregate == "max" or not masks:
+        agg = heat.copy()
+        for m in masks:
+            np.maximum(agg, m, out=agg)
+    elif params.aggregate == "mean":
+        agg = (heat + sum(masks)) / (1.0 + len(masks))
+    else:
+        agg = np.clip(heat + sum(masks), 0.0, 1.0)
+    return nms(agg, params.nms_radius, params.threshold)
+
+
+class TestStampPatches:
+    @pytest.mark.parametrize("patch", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_oracle(self, patch, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.random((13, 17))
+        shape = (11, 19)
+        r = patch // 2
+        # random pixels, plus every corner and edge of both images so each
+        # top/bottom/left/right clipping case is hit on either side
+        src_xy = np.stack([rng.integers(0, 17, 60), rng.integers(0, 13, 60)], axis=1)
+        dst_xy = np.stack([rng.integers(-r - 1, 19 + r + 1, 60),
+                           rng.integers(-r - 1, 11 + r + 1, 60)], axis=1)
+        src_edges = [(0, 0), (16, 0), (0, 12), (16, 12), (8, 0), (8, 12), (0, 6), (16, 6)]
+        dst_edges = [(0, 0), (18, 0), (0, 10), (18, 10), (9, 0), (9, 10), (0, 5), (18, 5),
+                     (-1, 5), (19, 5), (9, -1), (9, 11), (-r, -r), (18 + r, 10 + r)]
+        src_xy = np.vstack([src_xy, [s for s in src_edges for _ in dst_edges],
+                            np.tile(np.array([5, 6]), (len(dst_edges), 1))])
+        dst_xy = np.vstack([dst_xy, dst_edges * len(src_edges), dst_edges])
+        want = np.zeros(shape)
+        for (sx, sy), (dx, dy) in zip(src_xy, dst_xy):
+            _stamp_patch(want, src, int(sx), int(sy), int(dx), int(dy), r)
+        got = np.zeros(shape)
+        _stamp_patches(got, src, src_xy, dst_xy, r)
+        np.testing.assert_array_equal(got, want)
+        assert want.any()
+
+    def test_no_points_leaves_mask(self):
+        mask = np.full((6, 6), 0.25)
+        _stamp_patches(mask, np.ones((6, 6)), np.zeros((0, 2), dtype=int),
+                       np.zeros((0, 2), dtype=int), 1)
+        np.testing.assert_array_equal(mask, np.full((6, 6), 0.25))
+
+
+class RecordingViews:
+    """len()/[i] sequence that records which frames are read."""
+
+    def __init__(self, views):
+        self.views = views
+        self.reads = []
+
+    def __len__(self):
+        return len(self.views)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.views[i]
+
+
+def random_spike_setup(n, seed, size=48):
+    """Views of a plane from jittered poses, with random detector spikes."""
+    cam = default_cam(width=size, height=size, f=2.0 * size)
+    rng = np.random.default_rng(seed)
+    poses = [PoseSE3(rotation([0, 1, 0], float(rng.uniform(-2, 2))),
+                     rng.uniform([-0.1, -0.1, -0.5], [0.1, 0.1, 0.5])) for _ in range(n)]
+    spikes = {i: [(int(x), int(y), float(s))
+                  for x, y, s in zip(rng.integers(0, size, 12),
+                                     rng.integers(0, size, 12),
+                                     rng.uniform(0.0, 1.0, 12))]
+              for i in range(n)}
+    return marked_views(cam, poses), spike_detector(spikes)
+
+
+class TestFrameCache:
+    @pytest.mark.parametrize("window_len, n_sampled, seed, aggregate", [
+        (5, 2, 0, "max"),
+        (6, 5, 3, "mean"),
+        (4, 0, 1, "sum"),
+        (7, 3, 11, "max"),
+        (3, 1, 5, "sum"),
+    ])
+    def test_equals_uncached_and_does_each_frame_once(self, monkeypatch, window_len,
+                                                      n_sampled, seed, aggregate):
+        n = 12
+        views, det = random_spike_setup(n, seed)
+        params = AdaptationParams(window_len=window_len, n_sampled=n_sampled,
+                                  seed=seed, aggregate=aggregate)
+        reproj = ReprojectionParams()
+        want = [pseudo_labels_for_frame(views, i, det, params, reproj)
+                for i in range(n - window_len + 1)]
+        for lab in want:
+            np.testing.assert_array_equal(
+                lab.points,
+                reference_pseudo_labels(views, lab.frame_index, det, params, reproj))
+
+        calls = {"detect": 0, "robust": 0}
+
+        def counting_det(image):
+            calls["detect"] += 1
+            return det(image)
+
+        robust = adaptation.robust_depth_map
+
+        def counting_robust(depth, p):
+            calls["robust"] += 1
+            return robust(depth, p)
+
+        held = []
+        per_frame = adaptation.pseudo_labels_for_frame
+
+        def recording_per_frame(views, ref, *args, cache):
+            held.append((ref, sorted(cache)))
+            return per_frame(views, ref, *args, cache=cache)
+
+        monkeypatch.setattr(adaptation, "robust_depth_map", counting_robust)
+        monkeypatch.setattr(adaptation, "pseudo_labels_for_frame", recording_per_frame)
+        seq = RecordingViews(views)
+        got = generate_pseudo_labels(seq, counting_det, params, reproj)
+        # the cache holds exactly the live window when each frame is labelled
+        assert held == [(ref, list(range(ref, ref + window_len)))
+                        for ref in range(n - window_len + 1)]
+        assert [lab.frame_index for lab in got] == [lab.frame_index for lab in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.points, w.points)
+        assert calls == {"detect": n, "robust": n}
+        assert seq.reads == list(range(n))
+
+    def test_shared_cache_is_reused(self):
+        views, det = random_spike_setup(6, 2)
+        params = AdaptationParams(window_len=4, n_sampled=3, seed=2)
+        reproj = ReprojectionParams(depth_eps=0.01, window=3)
+        cache = {}
+        first = pseudo_labels_for_frame(views, 0, det, params, reproj, cache=cache)
+        assert sorted(cache) == [0, 1, 2, 3]
+        for i, entry in cache.items():
+            np.testing.assert_array_equal(entry.heat, det(views[i].image))
+            np.testing.assert_array_equal(
+                entry.points, nms(entry.heat, params.nms_radius, params.threshold))
+            want = robust_depth_map(views[i].depth, reproj)
+            np.testing.assert_array_equal(entry.robust.values, want.values)
+            np.testing.assert_array_equal(entry.robust.valid, want.valid)
+        seq = RecordingViews(views)
+        again = pseudo_labels_for_frame(seq, 0, det, params, reproj, cache=cache)
+        assert seq.reads == []
+        np.testing.assert_array_equal(again.points, first.points)
+
+    def test_every_frame_heatmap_shape_checked(self):
+        cam = default_cam(width=48, height=48, f=96.0)
+        views = static_views(cam, 3)
+
+        def det(image):
+            if image[0, 0, 0] == 0:
+                heat = np.zeros((48, 48))
+                heat[10, 10] = 0.5
+            else:
+                heat = np.zeros((20, 20))
+                heat[15, 12] = 0.9
+            return heat
+
+        params = AdaptationParams(window_len=3, n_sampled=2)
+        with pytest.raises(ShapeError, match="frame 1"):
+            pseudo_labels_for_frame(views, 0, det, params, ReprojectionParams())
+        with pytest.raises(ShapeError, match="frame 1"):
+            generate_pseudo_labels(views, det, params, ReprojectionParams())
 
 
 class TestAggregateModes:

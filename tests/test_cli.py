@@ -168,6 +168,19 @@ class TestLabels:
         assert runner.invoke(cli.main, ["labels", "-c", str(cfg)]).exit_code == 0
         assert (out / "labels.txt").read_bytes() == first
 
+    def test_threads_identical(self, runner, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        outputs = []
+        for threads in ("1", "2"):
+            res = runner.invoke(cli.main, ["labels", "-c", str(cfg), "--threads", threads])
+            assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_bytes()
+                            for name in ("labels.txt", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]
+
 
 class TestEval:
     def run_eval(self, runner, cfg, task, threads=1):
