@@ -183,33 +183,27 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
     dst = _cached_entry(cache, views, ref, detector, params, reproj)
     heat = dst.heat
     pr = params.patch // 2
-    # the per-frame stamp masks, combined as they are made: by maximum, or
-    # summed in ascending frame order
-    stamped = np.zeros_like(heat)
+    masks = []
     for r in picked:
         src = _cached_entry(cache, views, r, detector, params, reproj)
-        if not len(src.points):
-            continue
-        targets, _, reasons = reproject_points(
-            src.points.astype(np.float64), src.view, dst.view, reproj,
-            src_robust=src.robust, dst_robust=dst.robust)
-        ok = reasons == 0
-        src_xy, dst_xy = src.points[ok], np.rint(targets[ok]).astype(int)
-        if params.aggregate == "max":
-            _stamp_patches(stamped, src.heat, src_xy, dst_xy, pr)
-        else:
-            mask = np.zeros_like(heat)
-            _stamp_patches(mask, src.heat, src_xy, dst_xy, pr)
-            stamped += mask
+        mask = np.zeros_like(heat)
+        if len(src.points):
+            targets, _, reasons = reproject_points(
+                src.points.astype(np.float64), src.view, dst.view, reproj,
+                src_robust=src.robust, dst_robust=dst.robust)
+            ok = reasons == 0
+            _stamp_patches(mask, src.heat, src.points[ok],
+                           np.rint(targets[ok]).astype(int), pr)
+        masks.append(mask)
 
-    if not picked:
+    if params.aggregate == "max" or not masks:
         agg = heat.copy()
-    elif params.aggregate == "max":
-        agg = np.maximum(heat, stamped)
+        for m in masks:
+            np.maximum(agg, m, out=agg)
     elif params.aggregate == "mean":
-        agg = (heat + stamped) / (1.0 + len(picked))
+        agg = (heat + sum(masks)) / (1.0 + len(masks))
     else:
-        agg = np.clip(heat + stamped, 0.0, 1.0)
+        agg = np.clip(heat + sum(masks), 0.0, 1.0)
     return PseudoLabels(nms(agg, params.nms_radius, params.threshold), ref)
 
 

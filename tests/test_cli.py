@@ -163,15 +163,6 @@ class TestLabels:
         out = tmp_path / "run"
         cfg = small_config_file(tmp_path, out)
         assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
-        assert runner.invoke(cli.main, ["labels", "-c", str(cfg)]).exit_code == 0
-        first = (out / "labels.txt").read_bytes()
-        assert runner.invoke(cli.main, ["labels", "-c", str(cfg)]).exit_code == 0
-        assert (out / "labels.txt").read_bytes() == first
-
-    def test_threads_identical(self, runner, tmp_path):
-        out = tmp_path / "run"
-        cfg = small_config_file(tmp_path, out)
-        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
         outputs = []
         for threads in ("1", "2"):
             res = runner.invoke(cli.main, ["labels", "-c", str(cfg), "--threads", threads])
