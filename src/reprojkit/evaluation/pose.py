@@ -2,6 +2,12 @@
 
 The essential matrix is estimated on intrinsics-normalized coordinates
 with the convention x2^T E x1 = 0 where E = [t]_x R and X2 = R X1 + t.
+
+RANSAC shares ``homography._ransac``: every 8-point sample is drawn
+before any is fitted, one ``rng.choice`` per iteration, then blocks of
+samples get one stacked SVD pair and one (block, N) Sampson-distance
+matrix. More iterations replay the shorter run's hypotheses first, and
+ties keep the earlier hypothesis, as in a one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import numpy as np
 
 from ..errors import EstimationFailedError, InvalidSpecError, ShapeError
 from ..geometry import CameraIntrinsics
-from .homography import _as_matches
+from .homography import _as_matches, _ransac
 
 POSE_AUC_THRESHOLDS = (5.0, 10.0, 20.0)
 TRANSLATION_SPLIT = 0.15
@@ -28,33 +34,51 @@ class RelativePose:
 
 
 def _fit_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Least-squares E over >= 8 normalized points, projected to rank 2."""
-    A = (x2[:, :, None] * x1[:, None, :]).reshape(len(x1), 9)
+    """Least-squares E over >= 8 normalized points, projected to rank 2.
+
+    Stacked samples (B, N, 3) give stacked matrices (B, 3, 3).
+    """
+    A = (x2[..., :, None] * x1[..., None, :]).reshape(x1.shape[:-1] + (9,))
     _, _, vt = np.linalg.svd(A)
-    E = vt[-1].reshape(3, 3)
+    E = vt[..., -1, :].reshape(x1.shape[:-2] + (3, 3))
     u, _, vt2 = np.linalg.svd(E)
     return u @ np.diag([1.0, 1.0, 0.0]) @ vt2
 
 
 def _sampson_distance(E: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    Ex1 = x1 @ E.T
+    """Sampson distance of each match (N,) under E, or (B, N) under a
+    stack (B, 3, 3); inf where not finite."""
+    Ex1 = x1 @ np.swapaxes(E, -1, -2)
     Etx2 = x2 @ E
-    num = np.einsum("ij,ij->i", x2, Ex1)
-    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
+    num = np.einsum("...ij,...ij->...i", x2, Ex1)
+    den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.abs(num) / np.sqrt(den)
     return np.where(np.isfinite(d), d, np.inf)
 
 
 def _triangulate(R, t, x1, x2):
-    """Linear midpoint-free triangulation; returns depths in both cameras."""
-    z1 = np.empty(len(x1))
-    z2 = np.empty(len(x1))
-    for i, (a, b) in enumerate(zip(x1, x2)):
-        # X2 = R X1 + t with X1 = z1*a, X2 = z2*b -> [R a, -b] [z1, z2]^T = -t
-        M = np.column_stack([R @ a, -b])
-        sol, *_ = np.linalg.lstsq(M, -t, rcond=None)
-        z1[i], z2[i] = sol
+    """Depths in both cameras: the least-squares solve of
+    [R a, -b] [z1, z2]^T = -t for each ray pair (a, b), in closed form.
+
+    With n = Ra x b, z1 = (b x t).n / |n|^2 and z2 = (Ra x t).n / |n|^2.
+    Where ``lstsq`` would call [R a, -b] rank-deficient (parallel rays)
+    the minimum-norm solution -[R a, -b]^T t / |[R a, -b]|^2 is returned,
+    as ``lstsq`` does.
+    """
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    ra = x1 @ R.T
+    n = np.cross(ra, x2)
+    aa, bb, ab, nn = dot(ra, ra), dot(x2, x2), dot(ra, x2), dot(n, n)
+    # lstsq's rank test, rcond = 3 eps: sigma_min <= 3 eps sigma_max, where
+    # sigma_min * sigma_max = |n| and sigma_max^2 is M^T M's larger eigenvalue
+    lam_max = (aa + bb) / 2.0 + np.sqrt(((aa - bb) / 2.0) ** 2 + ab ** 2)
+    singular = np.sqrt(nn) <= 3.0 * np.finfo(float).eps * lam_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z1 = np.where(singular, -(ra @ t) / (aa + bb), dot(np.cross(x2, t), n) / nn)
+        z2 = np.where(singular, (x2 @ t) / (aa + bb), dot(np.cross(ra, t), n) / nn)
     return z1, z2
 
 
@@ -86,17 +110,9 @@ def estimate_essential(pts1, pts2, cam1: CameraIntrinsics, cam2: CameraIntrinsic
     x1 = cam1.pixel_rays(pts1)
     x2 = cam2.pixel_rays(pts2)
     thr = threshold_px / np.mean([cam1.fx, cam1.fy, cam2.fx, cam2.fy])
-    rng = np.random.default_rng(rng)
-    best_count = 0
-    best_inliers = None
-    for _ in range(iterations):
-        idx = rng.choice(n, 8, replace=False)
-        E = _fit_essential(x1[idx], x2[idx])
-        inliers = _sampson_distance(E, x1, x2) <= thr
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+    best_count, best_inliers = _ransac(
+        n, 8, iterations, rng,
+        lambda idx: _sampson_distance(_fit_essential(x1[idx], x2[idx]), x1, x2) <= thr)
     if best_inliers is None or best_count < 8:
         raise EstimationFailedError("no essential hypothesis reached consensus")
     E = _fit_essential(x1[best_inliers], x2[best_inliers])

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d, sobel
 
 from .adaptation import nms
@@ -20,6 +21,7 @@ PATCH = 16          # descriptor support side in pixels
 SPATIAL_BINS = 4    # descriptor spatial grid per side
 ORIENT_BINS = 8     # orientation histogram bins per spatial cell
 _BORDER = PATCH // 2
+_BLOCK = 128        # keypoints described together
 
 
 def to_gray(image: np.ndarray) -> np.ndarray:
@@ -93,6 +95,12 @@ def describe(image: np.ndarray, xy: np.ndarray, dim: int = 128):
     renormalized. Mean-centering removes the component shared by all
     gradient histograms, so unrelated patches score near zero.
 
+    Keypoints are described in blocks of ``_BLOCK``: their patches are
+    cut from one sliding-window view, and each block makes one gradient,
+    one histogram accumulation and one normalization pass, so temporaries
+    stay a few MB whatever the keypoint count. Each descriptor is the one
+    a keypoint described alone gets, to the bit.
+
     Keypoints closer than 8 px to the border are dropped; returns
     ``(descriptors, kept)`` with ``kept`` indexing into ``xy``.
     """
@@ -100,42 +108,71 @@ def describe(image: np.ndarray, xy: np.ndarray, dim: int = 128):
         raise InvalidSpecError(f"descriptor dim must be >= 2, got {dim}")
     gray = to_gray(image)
     h, w = gray.shape
-    xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+    xy = np.asarray(xy, dtype=np.float64)
+    xy = xy.reshape(0, 2) if xy.size == 0 else np.atleast_2d(xy)
     xi = np.rint(xy[:, 0]).astype(int)
     yi = np.rint(xy[:, 1]).astype(int)
     kept = np.flatnonzero((xi >= _BORDER - 1) & (xi <= w - _BORDER - 1)
                           & (yi >= _BORDER - 1) & (yi <= h - _BORDER - 1))
     out = np.zeros((len(kept), dim))
+    if len(kept) == 0:  # also every image smaller than one patch
+        return out, kept
     raw_len = SPATIAL_BINS * SPATIAL_BINS * ORIENT_BINS
     cell_px = PATCH // SPATIAL_BINS
-    for row, idx in enumerate(kept):
-        x, y = xi[idx], yi[idx]
-        patch = gray[y - _BORDER + 1:y + _BORDER + 1, x - _BORDER + 1:x + _BORDER + 1]
-        py, px = np.gradient(patch)
+    rr, cc = np.meshgrid(np.arange(PATCH), np.arange(PATCH), indexing="ij")
+    sbin = ((rr // cell_px) * SPATIAL_BINS + (cc // cell_px)) * ORIENT_BINS
+    windows = sliding_window_view(gray, (PATCH, PATCH))
+    for start in range(0, len(kept), _BLOCK):
+        rows = kept[start:start + _BLOCK]
+        patches = windows[yi[rows] - _BORDER + 1, xi[rows] - _BORDER + 1]
+        py, px = np.gradient(patches, axis=(1, 2))
         mag = np.hypot(px, py)
         ang = np.arctan2(py, px)
         obin = np.floor((ang + np.pi) / (2.0 * np.pi) * ORIENT_BINS).astype(int) % ORIENT_BINS
-        rr, cc = np.meshgrid(np.arange(PATCH), np.arange(PATCH), indexing="ij")
-        sbin = (rr // cell_px) * SPATIAL_BINS + (cc // cell_px)
-        hist = np.zeros(raw_len)
-        np.add.at(hist, sbin.ravel() * ORIENT_BINS + obin.ravel(), mag.ravel())
+        bins = np.arange(len(rows))[:, None, None] * raw_len + sbin + obin
+        hist = np.zeros((len(rows), raw_len))
+        np.add.at(hist.reshape(-1), bins.ravel(), mag.ravel())
         if dim != raw_len:
-            hist = np.interp(np.linspace(0.0, raw_len - 1.0, dim),
-                             np.arange(raw_len), hist)
-        hist -= hist.mean()
-        out[row] = _normalize_clipped(hist)
+            hist = _resample(hist, dim)
+        hist -= hist.mean(axis=1, keepdims=True)
+        out[start:start + len(rows)] = _normalize_clipped(hist)
     return out, kept
 
 
-def _normalize_clipped(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        flat = np.zeros_like(vec)
-        flat[0] = 1.0
-        return flat
-    vec = vec / norm
-    vec = np.clip(vec, -0.2, 0.2)
-    return vec / np.linalg.norm(vec)
+def _resample(hist: np.ndarray, dim: int) -> np.ndarray:
+    """``np.interp`` of every row onto ``dim`` evenly spaced positions.
+
+    Same arithmetic as ``np.interp`` on finite rows with unit knot
+    spacing: a query on a knot takes the knot's value, any other
+    ``(hi - lo) * frac + lo``. Rows come back C-contiguous, because a row
+    mean over strided rows rounds differently.
+    """
+    knots = hist.shape[1]
+    x = np.linspace(0.0, knots - 1.0, dim)
+    j = np.floor(x).astype(int)
+    lo, hi = hist[:, j], hist[:, np.minimum(j + 1, knots - 1)]
+    return np.ascontiguousarray(np.where(x == j, lo, (hi - lo) * (x - j) + lo))
+
+
+def _normalize_clipped(rows: np.ndarray) -> np.ndarray:
+    """Rows L2-normalized, clipped at magnitude 0.2 and renormalized; a row
+    of norm below 1e-12 becomes the first unit vector.
+
+    Row norms come from one dot product per row, as ``np.linalg.norm`` of
+    a single vector computes them (a reduction over axis 1 rounds
+    differently).
+    """
+    def norms(a):
+        return np.sqrt(a[:, None, :] @ a[:, :, None])[:, :, 0]
+
+    norm = norms(rows)
+    flat = norm[:, 0] < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vec = np.clip(rows / norm, -0.2, 0.2)
+        vec /= norms(vec)
+    vec[flat] = 0.0
+    vec[flat, 0] = 1.0
+    return vec
 
 
 @dataclass(frozen=True)

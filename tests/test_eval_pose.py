@@ -1,10 +1,13 @@
 """Essential-matrix estimation, pose errors, AUC, and the split protocol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from reprojkit.errors import EstimationFailedError, InvalidSpecError
+from reprojkit.evaluation import homography, pose
 from reprojkit.evaluation import (
     PosePairRecord,
     RelativePose,
@@ -113,6 +116,174 @@ class TestEstimateEssential:
         b = estimate_essential(pts1, pts2, cam, cam, iterations=150, rng=9)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def _fit_essential_oracle(x1, x2):
+    A = (x2[:, :, None] * x1[:, None, :]).reshape(len(x1), 9)
+    _, _, vt = np.linalg.svd(A)
+    u, _, vt2 = np.linalg.svd(vt[-1].reshape(3, 3))
+    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2
+
+
+def _sampson_oracle(E, x1, x2):
+    Ex1 = x1 @ E.T
+    Etx2 = x2 @ E
+    num = np.einsum("ij,ij->i", x2, Ex1)
+    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.abs(num) / np.sqrt(den)
+    return np.where(np.isfinite(d), d, np.inf)
+
+
+def triangulate_lstsq(R, t, x1, x2):
+    """The per-point ``lstsq`` loop the closed form replaced."""
+    z = np.array([np.linalg.lstsq(np.column_stack([R @ a, -b]), -t, rcond=None)[0]
+                  for a, b in zip(x1, x2)]).reshape(-1, 2)
+    return z[:, 0], z[:, 1]
+
+
+def estimate_essential_oracle(pts1, pts2, cam1, cam2, threshold_px=0.5,
+                              iterations=1000, rng=0):
+    """The one-hypothesis-at-a-time RANSAC loop block scoring replaced."""
+    n = len(pts1)
+    x1 = cam1.pixel_rays(pts1)
+    x2 = cam2.pixel_rays(pts2)
+    thr = threshold_px / np.mean([cam1.fx, cam1.fy, cam2.fx, cam2.fy])
+    rng = np.random.default_rng(rng)
+    best_count = 0
+    best_inliers = None
+    for _ in range(iterations):
+        idx = rng.choice(n, 8, replace=False)
+        E = _fit_essential_oracle(x1[idx], x2[idx])
+        inliers = _sampson_oracle(E, x1, x2) <= thr
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+    if best_inliers is None or best_count < 8:
+        raise EstimationFailedError("no essential hypothesis reached consensus")
+    E = _fit_essential_oracle(x1[best_inliers], x2[best_inliers])
+    best = None
+    for R, t in pose._decompose(E):
+        z1, z2 = triangulate_lstsq(R, t, x1[best_inliers], x2[best_inliers])
+        front = int(((z1 > 0) & (z2 > 0)).sum())
+        if best is None or front > best[0]:
+            best = (front, R, t)
+    if best[0] == 0:
+        raise EstimationFailedError("no decomposition places points in front of both cameras")
+    return best[1], best[2] / np.linalg.norm(best[2]), best_inliers
+
+
+class TestBlockScoring:
+    """Block-wise essential RANSAC against the one-at-a-time loop, bit for bit."""
+
+    cam = default_cam(width=320, height=240, f=260.0)
+
+    def check(self, pts1, pts2, threshold_px=0.5, iterations=1000, seed=0):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = estimate_essential_oracle(pts1, pts2, self.cam, self.cam,
+                                             threshold_px, iterations, rng_ref)
+        except EstimationFailedError:
+            with pytest.raises(EstimationFailedError):
+                estimate_essential(pts1, pts2, self.cam, self.cam,
+                                   threshold_px, iterations, rng_new)
+            want = None
+        else:
+            est = estimate_essential(pts1, pts2, self.cam, self.cam,
+                                     threshold_px, iterations, rng_new)
+            np.testing.assert_array_equal(est.rotation, want[0])
+            np.testing.assert_array_equal(est.translation, want[1])
+            np.testing.assert_array_equal(est.inliers, want[2])
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return want
+
+    def instance(self, rng, n, outlier_frac=0.3, noise=0.3):
+        pose2 = PoseSE3(rotation(rng.normal(size=3), rng.uniform(2, 12)),
+                        rng.uniform(-0.5, 0.5, 3))
+        pts1, pts2 = two_view_matches(rng, PoseSE3.identity(), pose2, self.cam,
+                                      n=n, noise=noise)
+        bad = rng.choice(n, int(n * outlier_frac), replace=False)
+        pts2[bad] = rng.uniform([0, 0], [319, 239], (len(bad), 2))
+        return pts1, pts2
+
+    def test_random_instances_with_outliers(self):
+        rng = np.random.default_rng(40)
+        for trial in range(8):
+            pts1, pts2 = self.instance(rng, int(rng.integers(9, 90)),
+                                       outlier_frac=rng.uniform(0.0, 0.5))
+            self.check(pts1, pts2, threshold_px=rng.uniform(0.3, 2.0),
+                       iterations=int(rng.integers(1, 300)), seed=trial)
+
+    def test_exactly_eight_matches(self):
+        rng = np.random.default_rng(41)
+        pts1, pts2 = self.instance(rng, 8, outlier_frac=0.0, noise=0.0)
+        assert self.check(pts1, pts2, iterations=50, seed=1) is not None
+
+    def test_block_boundary_iteration_counts(self):
+        rng = np.random.default_rng(42)
+        pts1, pts2 = self.instance(rng, 40, outlier_frac=0.4)
+        block = homography._BLOCK
+        for iterations in (1, block - 1, block, block + 1, 1000):
+            self.check(pts1, pts2, iterations=iterations, seed=iterations)
+
+    def test_collinear_and_duplicate_samples(self):
+        rng = np.random.default_rng(43)
+        pts1, pts2 = self.instance(rng, 12, outlier_frac=0.0)
+        pts1[:6] = np.column_stack([np.linspace(20, 300, 6), np.linspace(30, 200, 6)])
+        pts1[6:9] = pts1[9]
+        pts2[6:9] = pts2[9]
+        self.check(pts1, pts2, threshold_px=2.0, iterations=300, seed=2)
+
+    def test_pure_rotation_pair(self):
+        rng = np.random.default_rng(44)
+        pose2 = PoseSE3(rotation([0.0, 1.0, 0.2], 6.0), [0.0, 0.0, 0.0])
+        pts1, pts2 = two_view_matches(rng, PoseSE3.identity(), pose2, self.cam)
+        self.check(pts1, pts2, iterations=200, seed=3)
+
+
+    def test_temporaries_bounded_by_block(self):
+        # all 1000 hypotheses at once would need 7.2 MB per (1000, 300, 3)
+        rng = np.random.default_rng(47)
+        pts1, pts2 = self.instance(rng, 300)
+        tracemalloc.start()
+        try:
+            estimate_essential(pts1, pts2, self.cam, self.cam, iterations=1000, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestTriangulate:
+    def test_matches_lstsq(self):
+        rng = np.random.default_rng(45)
+        R = rotation([0.3, 1.0, -0.2], 9.0)
+        t = np.array([0.4, -0.1, 0.2])
+        x1 = np.column_stack([rng.uniform(-0.6, 0.6, (200, 2)), np.ones(200)])
+        x2 = np.column_stack([rng.uniform(-0.6, 0.6, (200, 2)), np.ones(200)])
+        z1, z2 = pose._triangulate(R, t, x1, x2)
+        w1, w2 = triangulate_lstsq(R, t, x1, x2)
+        np.testing.assert_allclose(z1, w1, rtol=1e-9)
+        np.testing.assert_allclose(z2, w2, rtol=1e-9)
+        np.testing.assert_array_equal((z1 > 0) & (z2 > 0), (w1 > 0) & (w2 > 0))
+
+    def test_parallel_rays_give_the_min_norm_solution(self):
+        # rank-deficient rows: lstsq returns its minimum-norm solution
+        rng = np.random.default_rng(46)
+        R = rotation([0.0, 1.0, 0.2], 6.0)
+        t = np.array([0.3, 0.1, -0.2])
+        x1 = np.column_stack([rng.uniform(-0.5, 0.5, (30, 2)), np.ones(30)])
+        x2 = x1 @ R.T * rng.uniform(0.5, 2.0, (30, 1))
+        z1, z2 = pose._triangulate(R, t, x1, x2)
+        w1, w2 = triangulate_lstsq(R, t, x1, x2)
+        np.testing.assert_allclose(z1, w1, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(z2, w2, rtol=1e-9, atol=1e-12)
+        x2[:, :] = x1 @ R.T  # exactly parallel: both depths from -M^T t / |M|^2
+        z1, z2 = pose._triangulate(R, t, x1, x2)
+        w1, w2 = triangulate_lstsq(R, t, x1, x2)
+        np.testing.assert_allclose(z1, w1, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(z2, w2, rtol=1e-9, atol=1e-12)
 
 
 class TestPoseError:

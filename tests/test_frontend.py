@@ -1,8 +1,11 @@
 """Corner detection, patch descriptors, and mutual-nearest matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reprojkit import frontend
 from reprojkit.errors import ImageTooSmallError, InvalidSpecError, ShapeError
 from reprojkit.frontend import (
     describe,
@@ -147,6 +150,120 @@ class TestDescribe:
     def test_dim_validation(self):
         with pytest.raises(InvalidSpecError):
             describe(np.zeros((32, 32)), np.array([[16.0, 16.0]]), dim=1)
+
+
+def _normalize_clipped_oracle(vec):
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        flat = np.zeros_like(vec)
+        flat[0] = 1.0
+        return flat
+    vec = vec / norm
+    vec = np.clip(vec, -0.2, 0.2)
+    return vec / np.linalg.norm(vec)
+
+
+def describe_oracle(image, xy, dim=128):
+    """The one-keypoint-at-a-time loop ``describe`` replaced."""
+    gray = frontend.to_gray(image)
+    h, w = gray.shape
+    xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+    xi = np.rint(xy[:, 0]).astype(int)
+    yi = np.rint(xy[:, 1]).astype(int)
+    kept = np.flatnonzero((xi >= 7) & (xi <= w - 9) & (yi >= 7) & (yi <= h - 9))
+    out = np.zeros((len(kept), dim))
+    for row, idx in enumerate(kept):
+        x, y = xi[idx], yi[idx]
+        patch = gray[y - 7:y + 9, x - 7:x + 9]
+        py, px = np.gradient(patch)
+        mag = np.hypot(px, py)
+        ang = np.arctan2(py, px)
+        obin = np.floor((ang + np.pi) / (2.0 * np.pi) * 8).astype(int) % 8
+        rr, cc = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+        sbin = (rr // 4) * 4 + (cc // 4)
+        hist = np.zeros(128)
+        np.add.at(hist, sbin.ravel() * 8 + obin.ravel(), mag.ravel())
+        if dim != 128:
+            hist = np.interp(np.linspace(0.0, 127.0, dim), np.arange(128), hist)
+        hist -= hist.mean()
+        out[row] = _normalize_clipped_oracle(hist)
+    return out, kept
+
+
+class TestDescribeBlocks:
+    """Block-wise ``describe`` against the per-keypoint loop, bit for bit."""
+
+    def check(self, image, xy, dim=128):
+        d, kept = describe(image, xy, dim=dim)
+        d_ref, kept_ref = describe_oracle(image, xy, dim=dim)
+        np.testing.assert_array_equal(kept, kept_ref)
+        np.testing.assert_array_equal(d, d_ref)
+        return d, kept
+
+    @pytest.mark.parametrize("dim", [128, 64, 130, 2, 3, 127, 129, 256])
+    def test_random_image_every_dim(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        img = rng.random((60, 70))
+        pts = rng.uniform(-3, 73, (300, 2))
+        _, kept = self.check(img, pts, dim=dim)
+        assert 0 < len(kept) < 300
+
+    def test_block_boundaries(self):
+        rng = np.random.default_rng(21)
+        img = rng.random((48, 48))
+        block = frontend._BLOCK
+        for k in (1, block - 1, block, block + 1, 2 * block + 3):
+            pts = rng.uniform(7, 39, (k, 2))
+            _, kept = self.check(img, pts)
+            assert len(kept) == k
+
+    def test_flat_and_textured_patches(self):
+        rng = np.random.default_rng(22)
+        img = np.full((64, 64), 0.5)
+        img[:, 32:] = rng.random((64, 32))
+        pts = np.array([[12.0, 12.0], [40.0, 20.0], [16.0, 50.0], [50.0, 50.0]])
+        d, _ = self.check(img, pts)
+        np.testing.assert_array_equal(d[0], np.eye(128)[0])
+        np.testing.assert_array_equal(d[2], np.eye(128)[0])
+
+    def test_uint8_rgb_image(self):
+        rng = np.random.default_rng(23)
+        img = rng.integers(0, 256, (50, 60, 3), dtype=np.uint8)
+        pts = rng.uniform(0, 60, (80, 2))
+        self.check(img, pts)
+        self.check(img, pts, dim=130)
+
+    def test_single_point_as_flat_list(self):
+        rng = np.random.default_rng(24)
+        img = rng.random((32, 32))
+        d, kept = self.check(img, [16.2, 15.7])
+        assert d.shape == (1, 128)
+        np.testing.assert_array_equal(kept, [0])
+
+    def test_hires_register_grid_in_bounded_memory(self):
+        # the 4256-keypoint grid register_pair describes on a 320x240 view
+        rng = np.random.default_rng(25)
+        img = rng.random((240, 320))
+        xs, ys = np.meshgrid(np.arange(8, 312, 4), np.arange(8, 232, 4))
+        pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
+        assert len(pts) == 4256
+        _, kept = self.check(img, pts)
+        assert len(kept) == 4256
+        tracemalloc.start()
+        try:
+            d, _ = describe(img, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # temporaries stay a few blocks' worth; all 4256 patches at once
+        # would take 8.7 MB per (k, 16, 16) array
+        assert peak - d.nbytes < 8e6
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2)), np.zeros(0)])
+    def test_no_keypoints(self, empty):
+        d, kept = describe(np.zeros((32, 32)), empty, dim=64)
+        assert d.shape == (0, 64)
+        assert kept.shape == (0,)
 
 
 class TestCheckerboardRecovery:
