@@ -183,10 +183,16 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
     dst = _cached_entry(cache, views, ref, detector, params, reproj)
     heat = dst.heat
     pr = params.patch // 2
-    masks = []
+    # each sampled frame's mask is folded in as soon as it is stamped, so one
+    # mask buffer serves every frame: a running maximum from the reference
+    # heatmap, or a left-to-right running sum (``sum(masks)`` to the bit)
+    take_max = params.aggregate == "max" or not picked
+    acc = heat.copy() if take_max else np.zeros_like(heat)
+    fold = np.maximum if take_max else np.add
+    mask = np.empty_like(heat)
     for r in picked:
         src = _cached_entry(cache, views, r, detector, params, reproj)
-        mask = np.zeros_like(heat)
+        mask.fill(0.0)
         if len(src.points):
             targets, _, reasons = reproject_points(
                 src.points.astype(np.float64), src.view, dst.view, reproj,
@@ -194,16 +200,14 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
             ok = reasons == 0
             _stamp_patches(mask, src.heat, src.points[ok],
                            np.rint(targets[ok]).astype(int), pr)
-        masks.append(mask)
+        fold(acc, mask, out=acc)
 
-    if params.aggregate == "max" or not masks:
-        agg = heat.copy()
-        for m in masks:
-            np.maximum(agg, m, out=agg)
+    if take_max:
+        agg = acc
     elif params.aggregate == "mean":
-        agg = (heat + sum(masks)) / (1.0 + len(masks))
+        agg = (heat + acc) / (1.0 + len(picked))
     else:
-        agg = np.clip(heat + sum(masks), 0.0, 1.0)
+        agg = np.clip(heat + acc, 0.0, 1.0)
     return PseudoLabels(nms(agg, params.nms_radius, params.threshold), ref)
 
 

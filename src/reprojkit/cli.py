@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -113,6 +114,28 @@ def _common_options(f):
     return wrapper
 
 
+def _bounded_map(pool, fn, items, window: int):
+    """``pool.map(fn, items)`` that submits at most ``window`` calls ahead.
+
+    Results come back in input order. A call is submitted only after the
+    result ``window`` places before it has been handed out, so at most
+    ``window`` results exist that the consumer has not yet taken, however
+    many items there are.
+    """
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # a failed call or an abandoned consumer starts no more work
+        for future in pending:
+            future.cancel()
+
+
 @click.group()
 def main():
     """Synthetic multi-view pipeline and evaluation toolkit."""
@@ -126,12 +149,13 @@ def synth(config_path, seed, out, threads):
     spec, cam = load_scene(cfg.scene)
     poses = generate_trajectory(cfg.trajectory)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        views = list(pool.map(lambda a: render_view(spec, cam, a[1], index=a[0]),
-                              enumerate(poses)))
-    write_dataset(views, cfg.output_dir)
-    _write_report(cfg, "synth", {"frames": len(views), "seed": cfg.seed,
+        # frames go to disk in order as they are rendered, never all held at once
+        views = _bounded_map(pool, lambda a: render_view(spec, cam, a[1], index=a[0]),
+                             enumerate(poses), window=2 * threads)
+        write_dataset(views, cfg.output_dir)
+    _write_report(cfg, "synth", {"frames": len(poses), "seed": cfg.seed,
                                  "width": cam.width, "height": cam.height})
-    click.echo(f"rendered {len(views)} frames (seed {cfg.seed}) -> {cfg.output_dir}")
+    click.echo(f"rendered {len(poses)} frames (seed {cfg.seed}) -> {cfg.output_dir}")
 
 
 def _sampled_pairs(cfg: RunConfig, n_frames: int, params=None) -> list[tuple[int, int]]:
@@ -149,12 +173,11 @@ def pairs(config_path, seed, out, threads):
     drawn = _sampled_pairs(cfg, len(data))
     pair_dir = Path(cfg.output_dir) / "pairs"
     pair_dir.mkdir(parents=True, exist_ok=True)
-    views = {i: data.view(i) for i in sorted({k for ij in drawn for k in ij})}
 
     def build(ij):
         i, j = ij
         cc = cell_correspondence_reprojection(
-            views[i], views[j], cfg.reprojection,
+            data.view(i), data.view(j), cfg.reprojection,
             cell=cfg.eval.cell, eps=cfg.eval.cell_eps_reprojection)
         path = pair_dir / f"pair_{i:05d}_{j:05d}.txt"
         write_cell_correspondence(cc, path)
@@ -217,7 +240,7 @@ def _plane_homography(plane: Plane, view1, view2) -> np.ndarray:
     return H / H[2, 2]
 
 
-def _eval_homography(cfg: RunConfig, data, drawn, views, threads) -> dict:
+def _eval_homography(cfg: RunConfig, data, drawn, threads) -> dict:
     spec, _ = load_scene(cfg.scene)
     if len(spec.primitives) != 1 or not isinstance(spec.primitives[0], Plane):
         raise ConfigError("homography evaluation needs a plane-only scene")
@@ -226,7 +249,7 @@ def _eval_homography(cfg: RunConfig, data, drawn, views, threads) -> dict:
 
     def one(ij):
         i, j = ij
-        v1, v2 = views[i], views[j]
+        v1, v2 = data.view(i), data.view(j)
         H_gt = _plane_homography(plane, v1, v2)
         pts1, pts2, mpts1, mpts2 = _matched_points(v1, v2, ev)
         dims = (v1.cam.height, v1.cam.width)
@@ -260,12 +283,12 @@ def _eval_homography(cfg: RunConfig, data, drawn, views, threads) -> dict:
     return results
 
 
-def _eval_pose(cfg: RunConfig, data, drawn, views, threads) -> dict:
+def _eval_pose(cfg: RunConfig, data, drawn, threads) -> dict:
     ev = cfg.eval
 
     def one(ij):
         i, j = ij
-        v1, v2 = views[i], views[j]
+        v1, v2 = data.view(i), data.view(j)
         R_gt, t_gt = relative_pose(v1.pose, v2.pose)
         _, _, mpts1, mpts2 = _matched_points(v1, v2, ev)
         try:
@@ -298,14 +321,14 @@ def _eval_pose(cfg: RunConfig, data, drawn, views, threads) -> dict:
     return results
 
 
-def _eval_register(cfg: RunConfig, data, drawn, views, threads) -> dict:
+def _eval_register(cfg: RunConfig, data, drawn, threads) -> dict:
     ev = cfg.eval
 
     def one(ij):
         i, j = ij
+        v1, v2 = data.view(i), data.view(j)  # a bad frame is a data error, not a failed pair
         try:
-            res = register_pair(views[i], views[j], ratio=ev.match_ratio,
-                                dim=ev.descriptor_dim)
+            res = register_pair(v1, v2, ratio=ev.match_ratio, dim=ev.descriptor_dim)
             return res.rotation_error_deg, res.translation_error_cm, res.chamfer_cm
         except (EstimationFailedError, ReprojkitError):
             return None
@@ -343,8 +366,8 @@ def eval_cmd(task, config_path, seed, out, threads):
     eval_sampling = PairSamplingParams(min_offset=cfg.eval.pair_min_offset,
                                        max_offset=cfg.eval.pair_max_offset)
     drawn = _sampled_pairs(cfg, len(data), eval_sampling)
-    views = {i: data.view(i) for i in sorted({k for ij in drawn for k in ij})}
-    results = _EVAL_TASKS[task](cfg, data, drawn, views, threads)
+    # each pair's worker reads its two views, so memory follows pairs in flight
+    results = _EVAL_TASKS[task](cfg, data, drawn, threads)
     _write_report(cfg, f"eval-{task}", results)
     click.echo(f"eval {task}: {len(drawn)} pairs, {results['failed']} failed")
 

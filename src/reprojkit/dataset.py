@@ -10,6 +10,7 @@ reproduces images bit-exactly and poses to full float precision.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,29 +141,44 @@ class Dataset:
 
 
 def write_dataset(views, path) -> None:
-    """Write rendered views as manifest + PPM/PFM frame files."""
-    views = list(views)
-    if not views:
-        raise DatasetError("cannot write an empty dataset")
-    cam = views[0].cam
-    if any(v.cam != cam for v in views):
-        raise DatasetError("all views in a dataset must share intrinsics")
+    """Write rendered views as manifest + PPM/PFM frame files.
+
+    ``views`` may be any iterable, such as a generator of renders: each
+    frame's files are written as its view arrives, and no view is kept
+    after that. The manifest is written last. Any manifest already under
+    ``path`` is removed before the first frame is written, and the new one
+    is renamed into place whole, so a write that fails partway (a render
+    error, or a view whose intrinsics differ from the first) leaves a
+    directory that ``read_dataset`` rejects, not a manifest pointing at a
+    mix of old and new frames.
+    """
     root = Path(path)
-    (root / "frames").mkdir(parents=True, exist_ok=True)
+    manifest_path = root / "manifest.json"
+    cam = None
     frames = []
     for v in views:
+        if cam is None:
+            cam = v.cam
+            (root / "frames").mkdir(parents=True, exist_ok=True)
+            manifest_path.unlink(missing_ok=True)
+        elif v.cam != cam:
+            raise DatasetError("all views in a dataset must share intrinsics")
         stem = f"{v.index:05d}"
         image_rel, depth_rel = f"frames/{stem}.ppm", f"frames/{stem}.pfm"
         write_ppm(root / image_rel, v.image)
         write_pfm(root / depth_rel, np.where(v.depth.valid, v.depth.values, 0.0))
         frames.append({"idx": v.index, "c2w": [float(x) for x in v.pose.matrix.ravel()],
                        "image": image_rel, "depth": depth_rel})
+    if cam is None:
+        raise DatasetError("cannot write an empty dataset")
     manifest = {"width": cam.width, "height": cam.height,
                 "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
                 "frames": frames}
-    with open(root / "manifest.json", "w") as f:
+    tmp_path = root / "manifest.json.tmp"
+    with open(tmp_path, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
+    os.replace(tmp_path, manifest_path)
 
 
 def read_dataset(path) -> Dataset:

@@ -21,7 +21,7 @@ PATCH = 16          # descriptor support side in pixels
 SPATIAL_BINS = 4    # descriptor spatial grid per side
 ORIENT_BINS = 8     # orientation histogram bins per spatial cell
 _BORDER = PATCH // 2
-_BLOCK = 128        # keypoints described together
+_BLOCK = 128        # keypoints described, or descriptor rows matched, together
 
 
 def to_gray(image: np.ndarray) -> np.ndarray:
@@ -187,41 +187,59 @@ class MatchSet:
         return len(self.indices1)
 
 
-def _ratio_ok(sims: np.ndarray, nearest: np.ndarray, ratio: float) -> np.ndarray:
-    """Lowe-style test per row: nearest/second-nearest distance ratio < ratio."""
+def _nearest(sims: np.ndarray, ratio: float | None):
+    """Per row: the column of the largest similarity and, with ``ratio``,
+    whether the Lowe-style test nearest/second-nearest distance < ratio
+    passes (all True without one).
+
+    Rows are copied ``_BLOCK`` at a time, so a transposed ``sims`` costs
+    no full-size copy. The unit-descriptor distance ``sqrt(max(2 - 2s, 0))``
+    never increases with the similarity ``s``, so a row's two smallest
+    distances are the distances of its two largest similarities: only
+    those two, from one partition of the block, are mapped.
+    """
     n, m = sims.shape
-    if m < 2:
-        return np.ones(n, dtype=bool)
-    dist = np.sqrt(np.maximum(2.0 - 2.0 * sims, 0.0))
-    part = np.partition(dist, 1, axis=1)
-    best = dist[np.arange(n), nearest]
-    second = np.where(part[:, 0] == best, part[:, 1], part[:, 0])
-    # a zero second-best distance means duplicates; ratio 1 fails the test
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(second > 0, best / second, 1.0)
-    return r < ratio
+    nearest = np.empty(n, dtype=np.intp)
+    ok = np.ones(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        block = np.array(sims[start:start + _BLOCK], order="C")
+        rows = slice(start, start + len(block))
+        nearest[rows] = block.argmax(axis=1)
+        if ratio is None or m < 2:
+            continue
+        block.partition(m - 2, axis=1)
+        second, best = np.sqrt(np.maximum(2.0 - 2.0 * block[:, m - 2:], 0.0)).T
+        # a zero second-best distance means duplicates; ratio 1 fails the test
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok[rows] = np.where(second > 0, best / second, 1.0) < ratio
+    return nearest, ok
 
 
 def match_mnn(desc1: np.ndarray, desc2: np.ndarray, ratio: float | None = None) -> MatchSet:
-    """Mutual nearest neighbors by inner product, optional symmetric ratio test."""
+    """Mutual nearest neighbors by inner product, optional symmetric ratio test.
+
+    Only the similarity matrix is full size: each direction's argmax and
+    ratio test work on copies of ``_BLOCK`` rows or columns. Descriptors
+    must be finite.
+    """
     desc1 = np.atleast_2d(np.asarray(desc1, dtype=np.float64))
     desc2 = np.atleast_2d(np.asarray(desc2, dtype=np.float64))
     if desc1.shape[1] != desc2.shape[1]:
         raise ShapeError("descriptor dimensions differ")
+    if not (np.isfinite(desc1).all() and np.isfinite(desc2).all()):
+        raise InvalidSpecError("descriptors must be finite")
     if len(desc1) == 0 or len(desc2) == 0:
         z = np.zeros(0, dtype=int)
         return MatchSet(z, z, np.zeros(0))
+    if ratio is not None and not 0.0 < ratio <= 1.0:
+        raise InvalidSpecError(f"ratio must be in (0, 1], got {ratio}")
     sims = desc1 @ desc2.T
-    nn12 = np.argmax(sims, axis=1)
-    nn21 = np.argmax(sims, axis=0)
+    nn12, ok12 = _nearest(sims, ratio)
+    nn21, ok21 = _nearest(sims.T, ratio)
     idx1 = np.flatnonzero(nn21[nn12] == np.arange(len(desc1)))
     idx2 = nn12[idx1]
-    if ratio is not None:
-        if not 0.0 < ratio <= 1.0:
-            raise InvalidSpecError(f"ratio must be in (0, 1], got {ratio}")
-        ok = (_ratio_ok(sims, nn12, ratio)[idx1]
-              & _ratio_ok(sims.T, nn21, ratio)[idx2])
-        idx1, idx2 = idx1[ok], idx2[ok]
+    keep = ok12[idx1] & ok21[idx2]
+    idx1, idx2 = idx1[keep], idx2[keep]
     return MatchSet(idx1, idx2, sims[idx1, idx2])
 
 

@@ -74,31 +74,42 @@ def descriptor_loss(grid1: np.ndarray, grid2: np.ndarray, S,
     Returns ``(loss, grad1, grad2)`` where the gradients have the grids'
     shapes. ``S`` may be a CellCorrespondence or a dense boolean array of
     shape (Hc, Wc, Hc2, Wc2).
+
+    Either grid may carry a leading batch axis, (B, Hc, Wc, D); an
+    unbatched grid and ``S`` are shared by every batch item. Then ``loss``
+    is a (B,) array and each gradient is (B, Hc, Wc, D), every item equal
+    to the unbatched call on that item.
     """
     grid1 = np.asarray(grid1, dtype=np.float64)
     grid2 = np.asarray(grid2, dtype=np.float64)
-    if grid1.ndim != 3 or grid2.ndim != 3:
-        raise ShapeError("descriptor grids must be (Hc, Wc, D)")
+    if grid1.ndim not in (3, 4) or grid2.ndim not in (3, 4):
+        raise ShapeError("descriptor grids must be (Hc, Wc, D) or (B, Hc, Wc, D)")
     if grid1.shape[-1] != grid2.shape[-1]:
         raise ShapeError(
             f"descriptor dims differ: {grid1.shape[-1]} vs {grid2.shape[-1]}")
-    s1, s2 = grid1.shape[:2], grid2.shape[:2]
+    s1, s2 = grid1.shape[-3:-1], grid2.shape[-3:-1]
     ind = _dense_indicator(S, s1, s2)
-    d1 = grid1.reshape(-1, grid1.shape[-1])
-    d2 = grid2.reshape(-1, grid2.shape[-1])
-    n = d1.shape[0] * d2.shape[0]
+    d1 = grid1.reshape(grid1.shape[:-3] + (-1, grid1.shape[-1]))
+    d2 = grid2.reshape(grid2.shape[:-3] + (-1, grid2.shape[-1]))
+    n = d1.shape[-2] * d2.shape[-2]
 
-    sims = d1 @ d2.T
+    sims = d1 @ np.swapaxes(d2, -1, -2)
     pos_active = ind & (sims < params.positive_margin)
     neg_active = ~ind & (sims > params.negative_margin)
-    # compensated sums: order-independent and correctly rounded, so a
-    # grid of identical contributions yields the contribution itself
-    loss = (params.positive_weight * math.fsum(params.positive_margin - sims[pos_active])
-            + math.fsum(sims[neg_active] - params.negative_margin)) / n
+    # compensated sums, one per batch item: order-independent and correctly
+    # rounded, so a grid of identical contributions yields the contribution
+    items = (-1,) + sims.shape[-2:]
+    loss = [(params.positive_weight * math.fsum(params.positive_margin - s[p])
+             + math.fsum(s[q] - params.negative_margin)) / n
+            for s, p, q in zip(sims.reshape(items), pos_active.reshape(items),
+                               neg_active.reshape(items))]
     coeff = np.where(pos_active, -params.positive_weight, 0.0) + np.where(neg_active, 1.0, 0.0)
-    grad1 = (coeff @ d2 / n).reshape(grid1.shape)
-    grad2 = (coeff.T @ d1 / n).reshape(grid2.shape)
-    return float(loss), grad1, grad2
+    lead = sims.shape[:-2]
+    grad1 = (coeff @ d2 / n).reshape(lead + grid1.shape[-3:])
+    grad2 = (np.swapaxes(coeff, -1, -2) @ d1 / n).reshape(lead + grid2.shape[-3:])
+    if not lead:
+        return float(loss[0]), grad1, grad2
+    return np.array(loss), grad1, grad2
 
 
 def detector_targets(labels: np.ndarray, grid_shape: tuple[int, int],
@@ -133,46 +144,55 @@ def detector_loss(logits: np.ndarray, labels, cell: int = 8):
 
     ``logits`` is (Hc, Wc, cell^2 + 1); ``labels`` is an (N, 2) integer
     pixel array or a PseudoLabels-like object with ``.points``.
+
+    ``logits`` may carry a leading batch axis, (B, Hc, Wc, cell^2 + 1),
+    whose items share ``labels``. Then the loss is a (B,) array and the
+    gradient has the logits' shape, every item equal to the unbatched call
+    on that item.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 3 or logits.shape[-1] != cell * cell + 1:
+    classes = cell * cell + 1
+    if logits.ndim not in (3, 4) or logits.shape[-1] != classes:
         raise ShapeError(
-            f"logits must be (Hc, Wc, {cell * cell + 1}), got {logits.shape}")
+            f"logits must be (Hc, Wc, {classes}) or (B, Hc, Wc, {classes}), "
+            f"got {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise InvalidSpecError("logits must be finite")
     points = getattr(labels, "points", labels)
-    targets = detector_targets(points, logits.shape[:2], cell)
+    batch = logits.reshape((-1,) + logits.shape[-3:])
+    targets = detector_targets(points, batch.shape[1:3], cell)
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expn = np.exp(shifted)
-    softmax = expn / expn.sum(axis=-1, keepdims=True)
-    log_z = np.log(expn.sum(axis=-1)) + logits.max(axis=-1)
-    hc, wc = logits.shape[:2]
+    top = batch.max(axis=-1, keepdims=True)
+    expn = np.exp(batch - top)
+    grad = expn / expn.sum(axis=-1, keepdims=True)
+    log_z = np.log(expn.sum(axis=-1)) + top[..., 0]
+    hc, wc = targets.shape
     gy, gx = np.meshgrid(np.arange(hc), np.arange(wc), indexing="ij")
-    picked = logits[gy, gx, targets]
+    picked = batch[:, gy, gx, targets]
     n_cells = hc * wc
-    loss = float(np.sum(log_z - picked) / n_cells)
-    grad = softmax.copy()
-    grad[gy, gx, targets] -= 1.0
-    return loss, grad / n_cells
+    loss = (log_z - picked).reshape(len(batch), -1).sum(axis=1) / n_cells
+    grad[:, gy, gx, targets] -= 1.0
+    grad /= n_cells
+    if logits.ndim == 3:
+        return float(loss[0]), grad[0]
+    return loss, grad
 
 
 def _max_rel_fd_error(loss, x: np.ndarray, grad: np.ndarray, h: float) -> float:
     """Max central-difference error against ``grad``, relative to its largest entry.
 
-    ``loss()`` must read ``x``; each entry of ``x`` is perturbed in place
-    by +-h and restored.
+    ``loss`` maps a stack of B copies of ``x``, shape (B,) + x.shape, to
+    their B loss values. Every +h and -h copy (one entry of ``x`` moved
+    each) goes through one call.
     """
-    fd = np.zeros_like(grad)
+    k = x.size
     flat = x.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
-        up = loss()
-        flat[k] = orig - h
-        dn = loss()
-        flat[k] = orig
-        fd.reshape(-1)[k] = (up - dn) / (2 * h)
+    rows = np.arange(k)
+    copies = np.broadcast_to(flat, (2, k, k)).copy()
+    copies[0, rows, rows] = flat + h
+    copies[1, rows, rows] = flat - h
+    up, dn = loss(copies.reshape((2 * k,) + x.shape)).reshape(2, k)
+    fd = ((up - dn) / (2 * h)).reshape(grad.shape)
     scale = max(float(np.abs(grad).max()), 1e-12)
     return float(np.abs(fd - grad).max()) / scale
 
@@ -199,11 +219,8 @@ def descriptor_fd_error(rng: np.random.Generator,
         if margins.min() > 10 * h:
             break
     _, g1, g2 = descriptor_loss(d1, d2, S, params)
-
-    def loss():
-        return descriptor_loss(d1, d2, S, params)[0]
-
-    return max(_max_rel_fd_error(loss, d1, g1, h), _max_rel_fd_error(loss, d2, g2, h))
+    return max(_max_rel_fd_error(lambda b: descriptor_loss(b, d2, S, params)[0], d1, g1, h),
+               _max_rel_fd_error(lambda b: descriptor_loss(d1, b, S, params)[0], d2, g2, h))
 
 
 def detector_fd_error(rng: np.random.Generator) -> float:
@@ -214,4 +231,4 @@ def detector_fd_error(rng: np.random.Generator) -> float:
     pts = np.array([[float(rng.integers(0, 24)), float(rng.integers(0, 16))]
                     for _ in range(3)])
     _, grad = detector_loss(logits, pts)
-    return _max_rel_fd_error(lambda: detector_loss(logits, pts)[0], logits, grad, h)
+    return _max_rel_fd_error(lambda b: detector_loss(b, pts)[0], logits, grad, h)

@@ -1,6 +1,8 @@
 """End-to-end CLI runs on a tiny scene: artifacts, reports, exit codes."""
 
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from click.testing import CliRunner
 
 from reprojkit import cli, losses
 from reprojkit.config import canonical_json, load_scene, scene_to_dict
-from reprojkit.geometry import CameraIntrinsics
+from reprojkit.errors import InvalidSpecError
+from reprojkit.geometry import CameraIntrinsics, DepthMap, RenderedView
 from reprojkit.scene import Plane, SceneSpec, Sphere
 from reprojkit.textures import CheckerTexture, NoiseTexture
 
@@ -83,6 +86,56 @@ class TestSynth:
         after = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         assert before == after
 
+    @pytest.mark.parametrize("frames", [10, 100])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_holds_a_bounded_number_of_views(self, runner, tmp_path, monkeypatch,
+                                             frames, threads):
+        alive, peak, lock = set(), [0], threading.Lock()
+
+        def forget(index):
+            with lock:
+                alive.discard(index)
+
+        def fake_render(spec, cam, pose, index=0):
+            view = RenderedView(np.full((cam.height, cam.width, 3), index % 256, np.uint8),
+                                DepthMap(np.ones((cam.height, cam.width))), cam, pose, index)
+            with lock:
+                alive.add(index)
+                peak[0] = max(peak[0], len(alive))
+            weakref.finalize(view, forget, index)
+            return view
+
+        monkeypatch.setattr(cli, "render_view", fake_render)
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, size=(16, 16),
+                                trajectory={"kind": "line", "frames": frames})
+        res = runner.invoke(cli.main, ["synth", "-c", str(cfg), "--threads", str(threads)])
+        assert res.exit_code == 0, res.output
+        assert len(list((out / "frames").glob("*.ppm"))) == frames
+        # 2 * threads renders submitted ahead plus the one being written
+        assert peak[0] <= 2 * threads + 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_rerun_leaves_no_manifest(self, runner, tmp_path, monkeypatch, threads):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, size=(16, 16),
+                                trajectory={"kind": "line", "frames": 100})
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        real_render, calls = cli.render_view, []
+
+        def failing_render(spec, cam, pose, index=0):
+            calls.append(index)
+            if index == 5:
+                raise InvalidSpecError("render failed")
+            return real_render(spec, cam, pose, index=index)
+
+        monkeypatch.setattr(cli, "render_view", failing_render)
+        res = runner.invoke(cli.main, ["synth", "-c", str(cfg), "--threads", str(threads)])
+        assert res.exit_code == 2 and "render failed" in res.output
+        assert not (out / "manifest.json").exists()
+        # at most the submission window runs past the failed frame
+        assert len(calls) <= 6 + 2 * threads
+
     def test_seed_override_lands_in_report(self, runner, tmp_path):
         out = tmp_path / "run"
         cfg = small_config_file(tmp_path, out)
@@ -144,6 +197,19 @@ class TestPairs:
         assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
         res = runner.invoke(cli.main, ["pairs", "-c", str(cfg)])
         assert res.exit_code == 2
+
+    def test_identical_across_threads(self, runner, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, n_pairs=6)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        outputs = []
+        for threads in ("1", "2"):
+            res = runner.invoke(cli.main, ["pairs", "-c", str(cfg), "--threads", threads])
+            assert res.exit_code == 0, res.output
+            outputs.append({p.name: p.read_bytes()
+                            for p in [out / "report.json", *sorted((out / "pairs").iterdir())]})
+        assert "list.txt" in outputs[0] and len(outputs[0]) >= 3
+        assert outputs[0] == outputs[1]
 
 
 class TestLabels:
@@ -255,6 +321,33 @@ class TestEval:
         assert self.run_eval(runner, cfg, "pose", threads=4).exit_code == 0
         assert (out / "report.json").read_bytes() == j1
         assert (out / "report.csv").read_bytes() == c1
+
+    # pose across 1 and 4 threads is test_reports_identical_across_threads
+    @pytest.mark.parametrize("task", ["homography", "register"])
+    def test_identical_across_one_and_two_threads(self, runner, tmp_path, task):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, plane_only=task == "homography")
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        reports = []
+        for threads in (1, 2):
+            res = self.run_eval(runner, cfg, task, threads=threads)
+            assert res.exit_code == 0, res.output
+            reports.append(((out / "report.json").read_bytes(),
+                            (out / "report.csv").read_bytes()))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("task", ["pose", "register"])
+    def test_corrupt_frame_is_a_data_error(self, runner, tmp_path, task):
+        # views are read inside each pair's worker; a bad file must still
+        # end the run with exit 2, not count as a failed pair
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        for p in (out / "frames").glob("*.pfm"):
+            p.write_bytes(p.read_bytes()[:-8])
+        res = self.run_eval(runner, cfg, task)
+        assert res.exit_code == 2, res.output
+        assert "data error" in res.output
 
     def test_csv_mirrors_json(self, runner, tmp_path):
         out = tmp_path / "run"

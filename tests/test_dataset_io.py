@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,74 @@ class TestDatasetRoundTrip:
         bad = RenderedView(views[1].image, views[1].depth, other, views[1].pose, 1)
         with pytest.raises(DatasetError):
             write_dataset([views[0], bad], tmp_path / "ds")
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestStreamedWrite:
+    def test_generator_write_is_byte_identical_to_list(self, tmp_path):
+        views = make_views(6, seed=7)
+        write_dataset(views, tmp_path / "list")
+        write_dataset((v for v in views), tmp_path / "gen")
+        assert _tree_bytes(tmp_path / "gen") == _tree_bytes(tmp_path / "list")
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_failed_rewrite_leaves_no_manifest(self, tmp_path, k):
+        root = tmp_path / "ds"
+        write_dataset(make_views(4, seed=1), root)
+        new = make_views(4, seed=2)
+
+        def renders():
+            yield from new[:k]
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError):
+            write_dataset(renders(), root)
+        if k == 0:  # nothing arrived: the old dataset is left as it was
+            assert len(read_dataset(root)) == 4
+        else:
+            with pytest.raises(DatasetError, match="no manifest.json"):
+                read_dataset(root)
+        assert not (root / "manifest.json.tmp").exists()
+
+    def test_mismatched_intrinsics_midway_leaves_no_manifest(self, tmp_path):
+        root = tmp_path / "ds"
+        write_dataset(make_views(4, seed=1), root)
+        views = make_views(3, seed=2)
+        other = default_cam(width=33, height=25, f=21.0)
+        bad = RenderedView(views[2].image, views[2].depth, other, views[2].pose, 2)
+        with pytest.raises(DatasetError, match="share intrinsics"):
+            write_dataset(iter(views[:2] + [bad]), root)
+        with pytest.raises(DatasetError, match="no manifest.json"):
+            read_dataset(root)
+
+    def test_successful_rewrite_replaces_manifest(self, tmp_path):
+        root = tmp_path / "ds"
+        write_dataset(make_views(5, seed=1), root)
+        write_dataset(make_views(3, seed=2), root)
+        assert len(read_dataset(root)) == 3
+        assert not (root / "manifest.json.tmp").exists()
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_holds_a_bounded_number_of_views(self, tmp_path, n):
+        alive, peak = set(), [0]
+
+        def renders():
+            for v in make_views(n, seed=3):
+                # a fresh object per view, so only the writer can keep it alive
+                v = RenderedView(v.image.copy(), v.depth, v.cam, v.pose, v.index)
+                alive.add(v.index)
+                weakref.finalize(v, alive.discard, v.index)
+                peak[0] = max(peak[0], len(alive))
+                yield v
+                del v
+
+        write_dataset(renders(), tmp_path / "ds")
+        assert len(read_dataset(tmp_path / "ds")) == n
+        # the view being written and the one just produced, whatever n is
+        assert peak[0] <= 2
 
 
 class TestDatasetErrors:

@@ -361,6 +361,117 @@ class TestMatching:
             match_mnn(np.ones((2, 4)), np.ones((2, 4)), ratio=1.5)
 
 
+def _ratio_ok_oracle(sims, nearest, ratio):
+    """The full-matrix ratio test ``match_mnn`` used before blocking."""
+    n, m = sims.shape
+    if m < 2:
+        return np.ones(n, dtype=bool)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * sims, 0.0))
+    part = np.partition(dist, 1, axis=1)
+    best = dist[np.arange(n), nearest]
+    second = np.where(part[:, 0] == best, part[:, 1], part[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(second > 0, best / second, 1.0)
+    return r < ratio
+
+
+def match_mnn_oracle(desc1, desc2, ratio=None):
+    """Full-size ``match_mnn``: column argmax and both ratio tests over the
+    whole similarity matrix."""
+    sims = desc1 @ desc2.T
+    nn12 = np.argmax(sims, axis=1)
+    nn21 = np.argmax(sims, axis=0)
+    idx1 = np.flatnonzero(nn21[nn12] == np.arange(len(desc1)))
+    idx2 = nn12[idx1]
+    if ratio is not None:
+        ok = (_ratio_ok_oracle(sims, nn12, ratio)[idx1]
+              & _ratio_ok_oracle(sims.T, nn21, ratio)[idx2])
+        idx1, idx2 = idx1[ok], idx2[ok]
+    return idx1, idx2, sims[idx1, idx2]
+
+
+def _unit_rows(rng, n, d):
+    a = rng.normal(size=(n, d))
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _register_grid_descriptors(seed):
+    # the 36 x 36 = 1296-point grid register_pair describes on a 160x160 view
+    img = np.random.default_rng(seed).random((160, 160))
+    xs, ys = np.meshgrid(np.arange(8, 152, 4), np.arange(8, 152, 4))
+    d, kept = describe(img, np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64))
+    assert len(kept) == 1296
+    return d
+
+
+class TestMatchBlocks:
+    """Block-wise ``match_mnn`` against the full-matrix version, exactly."""
+
+    def check(self, a, b, ratio):
+        m = match_mnn(a, b, ratio=ratio)
+        i1, i2, sim = match_mnn_oracle(a, b, ratio)
+        np.testing.assert_array_equal(m.indices1, i1)
+        np.testing.assert_array_equal(m.indices2, i2)
+        np.testing.assert_array_equal(m.similarity, sim)
+        return m
+
+    @pytest.mark.parametrize("ratio", [None, 0.8, 0.95, 1.0])
+    def test_random_sizes_across_block_boundaries(self, ratio):
+        rng = np.random.default_rng(40)
+        block = frontend._BLOCK
+        for n, m in ((1, 1), (1, 5), (5, 1), (2, 2), (block, block + 1),
+                     (block + 1, block - 1), (2 * block + 3, 300), (37, 2 * block)):
+            self.check(_unit_rows(rng, n, 8), _unit_rows(rng, m, 8), ratio)
+
+    @pytest.mark.parametrize("ratio", [None, 0.8, 0.95, 1.0])
+    def test_ties_and_exact_duplicates(self, ratio):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            # few distinct rounded directions: many tied similarities
+            a = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
+            b = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
+            a[~a.any(axis=1), 0] = 1.0
+            b[~b.any(axis=1), 0] = 1.0
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            b /= np.linalg.norm(b, axis=1, keepdims=True)
+            b[:len(b) // 2] = a[rng.integers(0, len(a), len(b) // 2)]
+            self.check(a, b, ratio)
+
+    def test_unnormalized_descriptors(self):
+        # similarities above 1 all map to distance 0: ties in distance only
+        rng = np.random.default_rng(42)
+        for ratio in (None, 0.8, 1.0):
+            self.check(rng.normal(size=(150, 4)) * 3, rng.normal(size=(140, 4)) * 3, ratio)
+
+    def test_register_grid(self):
+        a, b = _register_grid_descriptors(43), _register_grid_descriptors(44)
+        for ratio in (None, 0.8, 0.95):
+            self.check(a, b, ratio)
+
+    def test_register_grid_in_bounded_memory(self):
+        a, b = _register_grid_descriptors(45), _register_grid_descriptors(46)
+        sims_bytes = len(a) * len(b) * 8
+        tracemalloc.start()
+        try:
+            match_mnn(a, b, ratio=0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only the 13.4 MB similarity matrix is full size; a full-size
+        # distance matrix or column-argmax copy would add another 13.4 MB
+        assert peak <= sims_bytes + 4e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptors_rejected(self, bad):
+        rng = np.random.default_rng(47)
+        a, b = _unit_rows(rng, 6, 4), _unit_rows(rng, 5, 4)
+        a[2, 1] = bad
+        with pytest.raises(InvalidSpecError, match="finite"):
+            match_mnn(a, b, ratio=0.8)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            match_mnn(b, a)
+
+
 def test_feature_file_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     img = rng.random((64, 64))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reprojkit import losses
 from reprojkit.correspondence import cell_correspondence_homography
 from reprojkit.errors import InvalidSpecError, ShapeError
 from reprojkit.losses import (
@@ -247,3 +248,103 @@ class TestDetectorLoss:
         bad[0, 0, 0] = np.inf
         with pytest.raises(InvalidSpecError):
             detector_loss(bad, np.zeros((0, 2), dtype=int))
+
+
+class TestBatchedLosses:
+    """A leading batch axis gives each item's unbatched result, to the bit."""
+
+    def test_descriptor_batch_matches_single_calls(self):
+        rng = np.random.default_rng(30)
+        params = DescriptorLossParams(positive_margin=0.9, negative_margin=0.1)
+        for s1, s2, batch1, batch2 in (((3, 3), (3, 3), True, False),
+                                       ((2, 3), (3, 2), False, True),
+                                       ((1, 4), (2, 2), True, True)):
+            g1 = unit_rows(rng, ((5,) if batch1 else ()) + s1 + (6,))
+            g2 = unit_rows(rng, ((5,) if batch2 else ()) + s2 + (6,))
+            S = rng.random(s1 + s2) < 0.3
+            loss, a1, a2 = descriptor_loss(g1, g2, S, params)
+            assert loss.shape == (5,)
+            assert a1.shape == (5,) + s1 + (6,) and a2.shape == (5,) + s2 + (6,)
+            for b in range(5):
+                one = descriptor_loss(g1[b] if batch1 else g1, g2[b] if batch2 else g2,
+                                      S, params)
+                assert type(one[0]) is float
+                assert one[0] == loss[b]
+                np.testing.assert_array_equal(one[1], a1[b])
+                np.testing.assert_array_equal(one[2], a2[b])
+
+    def test_detector_batch_matches_single_calls(self):
+        rng = np.random.default_rng(31)
+        logits = rng.normal(size=(7, 3, 4, 65)) * 5.0
+        labels = np.array([[3, 2], [17, 9], [30, 20]])
+        loss, grad = detector_loss(logits, labels)
+        assert loss.shape == (7,) and grad.shape == logits.shape
+        for b in range(7):
+            one, g = detector_loss(logits[b], labels)
+            assert type(one) is float
+            assert one == loss[b]
+            np.testing.assert_array_equal(g, grad[b])
+
+    def test_batched_shapes_validated(self):
+        with pytest.raises(ShapeError):
+            detector_loss(np.zeros((1, 2, 2, 2, 65)), np.zeros((0, 2), dtype=int))
+        with pytest.raises(ShapeError):
+            descriptor_loss(np.zeros((1, 1, 2, 2, 4)), np.zeros((2, 2, 4)),
+                            np.zeros((2, 2, 2, 2), bool))
+
+
+def _max_rel_fd_error_oracle(loss, x, grad, h):
+    """The one-coordinate-at-a-time loop: ``loss()`` reads ``x``, which is
+    perturbed in place."""
+    fd = np.zeros_like(grad)
+    flat = x.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        up = loss()
+        flat[k] = orig - h
+        dn = loss()
+        flat[k] = orig
+        fd.reshape(-1)[k] = (up - dn) / (2 * h)
+    scale = max(float(np.abs(grad).max()), 1e-12)
+    return float(np.abs(fd - grad).max()) / scale
+
+
+class TestBatchedFiniteDifferences:
+    def test_descriptor_error_equals_per_coordinate_loop(self):
+        rng = np.random.default_rng(32)
+        params = DescriptorLossParams()
+        h = 1e-4
+        for _ in range(5):
+            d1, d2 = unit_rows(rng, (3, 3, 6)), unit_rows(rng, (2, 3, 6))
+            S = rng.random((3, 3, 2, 3)) < 0.2
+            _, g1, g2 = descriptor_loss(d1, d2, S, params)
+            calls = []
+
+            def batched(b):
+                calls.append(len(b))
+                return descriptor_loss(b, d2, S, params)[0]
+
+            got = losses._max_rel_fd_error(batched, d1, g1, h)
+            assert calls == [2 * d1.size]
+            want = _max_rel_fd_error_oracle(
+                lambda: descriptor_loss(d1, d2, S, params)[0], d1, g1, h)
+            assert got == want
+            got2 = losses._max_rel_fd_error(
+                lambda b: descriptor_loss(d1, b, S, params)[0], d2, g2, h)
+            want2 = _max_rel_fd_error_oracle(
+                lambda: descriptor_loss(d1, d2, S, params)[0], d2, g2, h)
+            assert got2 == want2
+
+    def test_detector_error_equals_per_coordinate_loop(self):
+        rng = np.random.default_rng(33)
+        h = 1e-4
+        for _ in range(5):
+            logits = rng.normal(size=(2, 3, 65))
+            pts = rng.integers(0, 16, (3, 2))
+            _, grad = detector_loss(logits, pts)
+            got = losses._max_rel_fd_error(lambda b: detector_loss(b, pts)[0],
+                                           logits, grad, h)
+            want = _max_rel_fd_error_oracle(lambda: detector_loss(logits, pts)[0],
+                                            logits, grad, h)
+            assert got == want
