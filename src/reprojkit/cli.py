@@ -99,7 +99,8 @@ def _common_options(f):
     @click.option("--out", type=click.Path(), default=None,
                   help="Output directory override.")
     @click.option("--threads", type=click.IntRange(min=1), default=1,
-                  help="Worker threads; results are identical for any value.")
+                  help="Worker threads for synth, pairs and eval; labels and losscheck "
+                       "run on one. Results are identical for any value.")
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:

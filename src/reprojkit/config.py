@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .adaptation import AdaptationParams
 from .correspondence import PairSamplingParams
@@ -13,7 +15,7 @@ from .errors import ConfigError, InvalidSpecError
 from .geometry import CameraIntrinsics, ReprojectionParams
 from .losses import DescriptorLossParams
 from .scene import Box, Plane, SceneSpec, Sphere, TrajectorySpec
-from .textures import CheckerTexture, NoiseTexture
+from .textures import CheckerTexture, NoiseTexture, StripeTexture
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,16 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        if self.scene is not None and not isinstance(self.scene, str):
+            raise InvalidSpecError(f"scene must be a builtin tag or a path, got {self.scene!r}")
+        for name in ("n_pairs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         if self.n_pairs < 1:
             raise InvalidSpecError("n_pairs must be positive")
-        if not self.output_dir:
-            raise InvalidSpecError("output_dir must be nonempty")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise InvalidSpecError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 
 
 def default_config() -> RunConfig:
@@ -91,32 +99,53 @@ def default_config() -> RunConfig:
     return RunConfig(trajectory=TrajectorySpec(frames=200))
 
 
-_SECTION_TYPES = {
-    "trajectory": TrajectorySpec,
-    "reprojection": ReprojectionParams,
-    "sampling": PairSamplingParams,
-    "adaptation": AdaptationParams,
-    "loss": DescriptorLossParams,
-    "eval": EvalParams,
-}
+# the config's sections are its dataclass-valued fields
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)
+                  if f.default_factory is not MISSING}
+
+PRIMITIVE_KINDS = {"plane": Plane, "box": Box, "sphere": Sphere}
+TEXTURE_KINDS = {"checker": CheckerTexture, "stripes": StripeTexture, "noise": NoiseTexture}
+_KIND_TAGS = {cls: kind for kinds in (PRIMITIVE_KINDS, TEXTURE_KINDS)
+              for kind, cls in kinds.items()}
 
 
-def _section_to_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
+def _json_value(v):
+    if is_dataclass(v):
+        return _spec_to_dict(v)
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_json_value(x) for x in v]
+    return v
+
+
+def _spec_to_dict(spec) -> dict:
+    """A spec dataclass as a JSON table: one key per field, sequences as
+    lists, nested specs as tables, and a ``kind`` tag for the classes of a
+    kind registry."""
+    out = {f.name: _json_value(getattr(spec, f.name)) for f in fields(spec)}
+    if type(spec) in _KIND_TAGS:
+        out["kind"] = _KIND_TAGS[type(spec)]
     return out
 
 
-def _section_from_dict(cls, d: dict, where: str):
-    if not isinstance(d, dict):
+def _spec_from_dict(cls_or_kinds, table, where: str):
+    """Build a spec from one JSON table; the inverse of ``_spec_to_dict``.
+
+    ``cls_or_kinds`` is a spec class, or a kind registry whose class the
+    table's ``kind`` key picks. Unknown keys are rejected, lists become
+    tuples, and every failure is a ``ConfigError`` naming ``where``.
+    """
+    if not isinstance(table, dict):
         raise ConfigError(f"{where} must be a table of keys")
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in table.items()}
+    cls = cls_or_kinds
+    if isinstance(cls_or_kinds, dict):
+        kind = kwargs.pop("kind", None)
+        if not isinstance(kind, str) or kind not in cls_or_kinds:
+            raise ConfigError(f"unknown {where} kind {kind!r}")
+        cls = cls_or_kinds[kind]
+    unknown = set(kwargs) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     try:
         return cls(**kwargs)
     except (InvalidSpecError, ValueError) as e:
@@ -126,33 +155,15 @@ def _section_from_dict(cls, d: dict, where: str):
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {"scene": cfg.scene, "n_pairs": cfg.n_pairs, "seed": cfg.seed,
-           "output_dir": cfg.output_dir}
-    for name, _ in _SECTION_TYPES.items():
-        out[name] = _section_to_dict(getattr(cfg, name))
-    return out
+    return _spec_to_dict(cfg)
 
 
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be a table of keys")
-    known = set(_SECTION_TYPES) | {"scene", "n_pairs", "seed", "output_dir"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in d:
-            kwargs[name] = _section_from_dict(cls, d[name], name)
-    for name in ("scene", "n_pairs", "seed", "output_dir"):
-        if name in d:
-            kwargs[name] = d[name]
-    try:
-        return RunConfig(**kwargs)
-    except (InvalidSpecError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    except TypeError as e:
-        raise ConfigError(f"malformed config: {e}") from e
+    return _spec_from_dict(RunConfig, {
+        k: _spec_from_dict(_SECTION_TYPES[k], v, k) if k in _SECTION_TYPES else v
+        for k, v in d.items()}, "config")
 
 
 def load_config(path) -> RunConfig:
@@ -191,20 +202,28 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def scene_to_dict(spec: SceneSpec, cam: CameraIntrinsics) -> dict:
-    """A scene file: the camera block plus ``SceneSpec.to_dict``."""
-    return {"camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-                       "width": cam.width, "height": cam.height},
-            **spec.to_dict()}
+    """A scene file: the camera block plus the scene's fields."""
+    return {"camera": _spec_to_dict(cam), **_spec_to_dict(spec)}
+
+
+# scene-file lists: key, kind registry, name of one entry
+_SCENE_LISTS = (("primitives", PRIMITIVE_KINDS, "primitive"),
+                ("textures", TEXTURE_KINDS, "texture"))
 
 
 def scene_from_dict(d: dict) -> tuple[SceneSpec, CameraIntrinsics]:
     try:
-        c = d["camera"]
-        cam = CameraIntrinsics(fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-                               width=c["width"], height=c["height"])
-        spec = SceneSpec.from_dict(d)
-    except (KeyError, TypeError, ValueError, InvalidSpecError) as e:
-        raise ConfigError(f"malformed scene: {e}") from e
+        if not isinstance(d, dict):
+            raise ConfigError("scene must be a table of keys")
+        d = dict(d)
+        cam = _spec_from_dict(CameraIntrinsics, d.pop("camera", None), "camera")
+        for key, kinds, entry in _SCENE_LISTS:
+            if not isinstance(d.get(key), list):
+                raise ConfigError(f"{key} must be a list")
+            d[key] = [_spec_from_dict(kinds, t, entry) for t in d[key]]
+        spec = _spec_from_dict(SceneSpec, d, "scene")
+    except ConfigError as e:
+        raise ConfigError(f"malformed scene: {e}") from e.__cause__
     return spec, cam
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +120,6 @@ class Dataset:
         """``data[i]`` is ``data.view(i)``: read from disk on every access."""
         return self.view(i)
 
-    def pose(self, i: int) -> PoseSE3:
-        return self.frames[i].pose
-
     def view(self, i: int) -> RenderedView:
         rec = self.frames[i]
         image = read_ppm(rec.image_path)
@@ -136,7 +133,7 @@ class Dataset:
             raise DatasetError(
                 f"frame {rec.idx}: depth is {vals.shape[1]}x{vals.shape[0]}, "
                 f"manifest says {self.cam.width}x{self.cam.height}")
-        depth = DepthMap(vals, np.isfinite(vals) & (vals > 0.0))
+        depth = DepthMap(vals)
         return RenderedView(image, depth, self.cam, rec.pose, rec.idx)
 
 
@@ -171,9 +168,7 @@ def write_dataset(views, path) -> None:
                        "image": image_rel, "depth": depth_rel})
     if cam is None:
         raise DatasetError("cannot write an empty dataset")
-    manifest = {"width": cam.width, "height": cam.height,
-                "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-                "frames": frames}
+    manifest = {**asdict(cam), "frames": frames}
     tmp_path = root / "manifest.json.tmp"
     with open(tmp_path, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -190,8 +185,7 @@ def read_dataset(path) -> Dataset:
     try:
         with open(manifest_path) as f:
             m = json.load(f)
-        cam = CameraIntrinsics(fx=m["fx"], fy=m["fy"], cx=m["cx"], cy=m["cy"],
-                               width=m["width"], height=m["height"])
+        cam = CameraIntrinsics(**{f.name: m[f.name] for f in fields(CameraIntrinsics)})
         entries = m["frames"]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise DatasetError(f"malformed manifest {manifest_path}: {e}") from e

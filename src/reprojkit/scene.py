@@ -9,20 +9,27 @@ color and an invalid depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import EmptySceneError, InvalidSpecError, ReprojkitError
+from .errors import EmptySceneError, InvalidSpecError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
-from .textures import _as_color, texture_from_dict, texture_to_dict
+from .textures import _as_color
 
 _EPS = 1e-9
 
 
+def _vec3(v, what: str) -> np.ndarray:
+    a = np.asarray(v, dtype=np.float64)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise InvalidSpecError(f"{what} must be 3 finite numbers, got {v!r}")
+    return a
+
+
 def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+    v = _vec3(v, "direction")
     n = np.linalg.norm(v)
     if n < 1e-12:
         raise InvalidSpecError("zero-length direction vector")
@@ -47,6 +54,7 @@ class Plane:
     def __post_init__(self):
         if not (self.half_u > 0 and self.half_v > 0):
             raise InvalidSpecError("plane extents must be positive")
+        _vec3(self.origin, "plane origin")
         n = _unit(self.normal)
         if self.u_axis is not None:
             u = _unit(self.u_axis)
@@ -86,6 +94,7 @@ class Box:
     texture: int = 0
 
     def __post_init__(self):
+        _vec3(self.center, "box center")
         hs = np.asarray(self.half_size, dtype=np.float64)
         if hs.shape != (3,) or np.any(hs <= 0):
             raise InvalidSpecError("box half sizes must be 3 positive numbers")
@@ -125,6 +134,7 @@ class Sphere:
     def __post_init__(self):
         if not self.radius > 0:
             raise InvalidSpecError("sphere radius must be positive")
+        _vec3(self.center, "sphere center")
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         oc = origins - np.asarray(self.center, dtype=np.float64)
@@ -143,9 +153,6 @@ class Sphere:
         return t, np.stack([u, v], axis=-1)
 
 
-PRIMITIVE_KINDS = {"plane": Plane, "box": Box, "sphere": Sphere}
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     """Primitives plus the texture palette they index into."""
@@ -161,8 +168,9 @@ class SceneSpec:
             raise InvalidSpecError("scene needs at least one texture")
         _as_color(self.background)
         for p in self.primitives:
-            if not 0 <= p.texture < len(self.textures):
-                raise InvalidSpecError(f"texture id {p.texture} out of range")
+            if not isinstance(p.texture, int) or not 0 <= p.texture < len(self.textures):
+                raise InvalidSpecError(
+                    f"texture id {p.texture!r} is not an index into {len(self.textures)} textures")
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "textures", tuple(self.textures))
 
@@ -179,45 +187,6 @@ class SceneSpec:
         idx = np.argmin(ts, axis=0)
         t = np.take_along_axis(ts, idx[None], axis=0)[0]
         return t, np.where(np.isfinite(t), idx, -1), [uv for _, uv in hits]
-
-    def to_dict(self) -> dict:
-        prims = []
-        for p in self.primitives:
-            if isinstance(p, Plane):
-                prims.append({"kind": "plane", "origin": list(p.origin),
-                              "normal": list(p.normal), "half_u": p.half_u,
-                              "half_v": p.half_v, "u_axis": list(p.u_axis),
-                              "texture": p.texture})
-            elif isinstance(p, Box):
-                prims.append({"kind": "box", "center": list(p.center),
-                              "half_size": list(p.half_size), "texture": p.texture})
-            elif isinstance(p, Sphere):
-                prims.append({"kind": "sphere", "center": list(p.center),
-                              "radius": p.radius, "texture": p.texture})
-            else:
-                raise InvalidSpecError(f"unknown primitive {p!r}")
-        return {"background": list(self.background),
-                "textures": [texture_to_dict(t) for t in self.textures],
-                "primitives": prims}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        try:
-            textures = tuple(texture_from_dict(t) for t in d["textures"])
-            prims = []
-            for pd in d["primitives"]:
-                kind = pd.get("kind")
-                if kind not in PRIMITIVE_KINDS:
-                    raise InvalidSpecError(f"unknown primitive kind {kind!r}")
-                kwargs = {k: tuple(v) if isinstance(v, list) else v
-                          for k, v in pd.items() if k != "kind"}
-                prims.append(PRIMITIVE_KINDS[kind](**kwargs))
-            return cls(tuple(prims), textures, tuple(d.get("background", (0.04, 0.05, 0.08))))
-        except ReprojkitError:
-            # the toolkit's own errors are ValueErrors too; keep their type
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise InvalidSpecError(f"malformed scene spec: {e}") from e
 
 
 def look_at(position, target, up=(0.0, 0.0, 1.0)) -> PoseSE3:

@@ -7,7 +7,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,25 +108,3 @@ class NoiseTexture:
         t = (top + (bot - top) * wv)[..., None]
         c1, c2 = _as_color(self.color1), _as_color(self.color2)
         return c1 + (c2 - c1) * t
-
-
-TEXTURE_KINDS = {"checker": CheckerTexture, "stripes": StripeTexture, "noise": NoiseTexture}
-
-
-def texture_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in TEXTURE_KINDS:
-        raise InvalidSpecError(f"unknown texture kind {kind!r}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "kind"}
-    return TEXTURE_KINDS[kind](**kwargs)
-
-
-def texture_to_dict(t) -> dict:
-    for kind, cls in TEXTURE_KINDS.items():
-        if isinstance(t, cls):
-            d = {"kind": kind, "scale": t.scale,
-                 "color1": list(t.color1), "color2": list(t.color2)}
-            if kind == "noise":
-                d["seed"] = t.seed
-            return d
-    raise InvalidSpecError(f"not a texture: {t!r}")

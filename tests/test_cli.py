@@ -1,8 +1,12 @@
 """End-to-end CLI runs on a tiny scene: artifacts, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,25 @@ class TestSynth:
         cfg.write_text(json.dumps({"scene": "gone.json"}))
         res = runner.invoke(cli.main, ["synth", "-c", str(cfg)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("case", ["non-table primitive", "string seed"])
+    def test_malformed_input_exits_1_without_traceback(self, tmp_path, case):
+        out = tmp_path / "run"
+        if case == "string seed":
+            cfg = small_config_file(tmp_path, out, seed="x")
+        else:
+            cfg = small_config_file(tmp_path, out)
+            scene = json.loads((tmp_path / "scene.json").read_text())
+            scene["primitives"] = [3]
+            (tmp_path / "scene.json").write_text(json.dumps(scene))
+        # a real process, so that an escaping exception shows as a traceback
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-m", "reprojkit.cli", "synth", "-c", str(cfg)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error: ")
+        assert "Traceback" not in res.stderr
+        assert not (out / "report.json").exists()
 
 
 class TestPairs:

@@ -1,6 +1,8 @@
 """Config defaults, JSON round trips, scene files, and validation."""
 
+import hashlib
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -20,7 +22,13 @@ from reprojkit.config import (
     scene_to_dict,
 )
 from reprojkit.errors import ConfigError, InvalidSpecError
-from reprojkit.scene import Plane, TrajectorySpec
+from reprojkit.geometry import CameraIntrinsics
+from reprojkit.scene import Box, Plane, SceneSpec, Sphere, TrajectorySpec
+from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture
+
+
+def sha256_of_json(data) -> str:
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 class TestDefaults:
@@ -61,7 +69,7 @@ class TestDefaults:
 
 class TestValidation:
     def test_unknown_root_key(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in config"):
             config_from_dict({"seeed": 3})
 
     def test_unknown_section_key(self):
@@ -159,3 +167,133 @@ class TestScenes:
         d["primitives"][0]["kind"] = "torus"
         with pytest.raises(ConfigError):
             scene_from_dict(d)
+
+
+class TestFormat:
+    """The JSON format of configs and scene files, pinned byte for byte."""
+
+    def test_golden_digests(self):
+        assert sha256_of_json(config_to_dict(default_config())) == (
+            "e3cee233285f1d91ee066d38aa0bec1733fc113ac713df30770c83f6e74c9a50")
+        assert sha256_of_json(scene_to_dict(*load_scene("builtin:plane"))) == (
+            "fc6ec17c4d6fcb40623cc20ecc2fd224e7dcc957f3b831b668f32627f0657993")
+        assert sha256_of_json(scene_to_dict(*load_scene("builtin:general"))) == (
+            "30bbf6fda23948bd31dac635676b2cb3f42d44b4de128dd6723820548efbf7b3")
+
+    def test_config_round_trip_through_text(self):
+        base = RunConfig()
+        cfg = RunConfig(
+            scene="builtin:plane",
+            trajectory=TrajectorySpec(kind="orbit-with-jitter", center=(0.5, 0.0, 0.1),
+                                      jitter_deg=2.5, frames=30),
+            reprojection=replace(base.reprojection, depth_eps=0.05, window=3),
+            sampling=replace(base.sampling, min_offset=3, max_offset=9, seed=4),
+            adaptation=replace(base.adaptation, window_len=6, n_sampled=3),
+            loss=replace(base.loss, negative_margin=0.1),
+            eval=replace(base.eval, pose_auc_deg=(2.0, 4.0), match_ratio=0.9),
+            n_pairs=7, seed=11, output_dir="runs/a")
+        for name in asdict(cfg):
+            assert getattr(cfg, name) != getattr(base, name), name
+        again = config_from_dict(json.loads(canonical_json(config_to_dict(cfg))))
+        assert again == cfg
+
+    def test_scene_round_trip_through_text(self):
+        spec = SceneSpec(
+            (Plane((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 3.0, 2.0, texture=2,
+                   u_axis=(0.0, 1.0, 0.0)),
+             Box((0.2, -0.3, 0.4), (0.1, 0.2, 0.3), texture=1),
+             Sphere((-0.5, 0.5, 0.25), 0.25, texture=0)),
+            (CheckerTexture(0.2, color1=(1.0, 0.0, 0.0)), StripeTexture(0.03),
+             NoiseTexture(0.1, seed=9)),
+            background=(0.5, 0.5, 0.5))
+        cam = CameraIntrinsics(fx=100.0, fy=90.0, cx=40.0, cy=30.0, width=80, height=60)
+        text = canonical_json(scene_to_dict(spec, cam))
+        assert json.loads(text)["primitives"][0]["u_axis"] == [0.0, 1.0, 0.0]
+        assert scene_from_dict(json.loads(text)) == (spec, cam)
+
+
+def _plane_scene() -> dict:
+    return scene_to_dict(*load_scene("builtin:plane"))
+
+
+def _edited(**changes) -> dict:
+    d = _plane_scene()
+    d.update(changes)
+    return d
+
+
+def _without(key) -> dict:
+    d = _plane_scene()
+    del d[key]
+    return d
+
+
+def _camera_with(**changes) -> dict:
+    d = _plane_scene()
+    d["camera"].update(changes)
+    return d
+
+
+MALFORMED_SCENES = {
+    "non-table primitive": _edited(primitives=[3]),
+    "non-table texture": _edited(textures=[3]),
+    "non-list primitives": _edited(primitives={"kind": "sphere", "center": [0, 0, 0],
+                                               "radius": 1.0}),
+    "unknown camera key": _camera_with(fov=60),
+    "unknown scene key": _edited(lights=[]),
+    "missing camera": _without("camera"),
+    "non-table camera": _edited(camera=[128.0, 128.0]),
+    "unknown kind": _edited(primitives=[{"kind": "torus", "radius": 1.0}]),
+    "texture kind in primitives": _edited(primitives=[{"kind": "checker"}]),
+    "primitive kind in textures": _edited(textures=[{"kind": "sphere", "radius": 1.0}]),
+    "missing kind": _edited(textures=[{"scale": 0.1}]),
+    "non-integer texture index": _edited(primitives=[
+        {"kind": "sphere", "center": [0, 0, 0], "radius": 1.0, "texture": 0.5}]),
+    "2-vector center": _edited(primitives=[
+        {"kind": "sphere", "center": [0, 0], "radius": 1.0}]),
+    "non-table root": [1, 2],
+}
+
+MALFORMED_CONFIGS = {
+    "scene not a string": {"scene": 5},
+    "seed not an int": {"seed": "x"},
+    "seed a bool": {"seed": True},
+    "n_pairs a float": {"n_pairs": 2.5},
+    "output_dir not a string": {"output_dir": 3},
+    "non-table section": {"eval": [8]},
+    "non-table root": [],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("data", MALFORMED_SCENES.values(), ids=MALFORMED_SCENES)
+    def test_scene_rejected(self, data):
+        with pytest.raises(ConfigError, match="malformed scene"):
+            scene_from_dict(data)
+
+    @pytest.mark.parametrize("data", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+    def test_config_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_scalar_error_names_the_key(self):
+        with pytest.raises(ConfigError, match="seed must be an integer") as info:
+            config_from_dict({"seed": "x"})
+        assert isinstance(info.value.__cause__, InvalidSpecError)
+
+    def test_scene_error_keeps_the_spec_error_as_cause(self):
+        d = _plane_scene()
+        d["primitives"][0]["half_u"] = -1.0
+        with pytest.raises(ConfigError, match="malformed scene: invalid primitive") as info:
+            scene_from_dict(d)
+        assert isinstance(info.value.__cause__, InvalidSpecError)
+
+    def test_unknown_camera_key_is_named(self):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in camera: \['fov'\]"):
+            scene_from_dict(_camera_with(fov=60))
+
+    def test_load_config_rejects_non_string_scene(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scene": 5}))
+        with pytest.raises(ConfigError, match="scene must be"):
+            load_config(path)

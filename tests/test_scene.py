@@ -1,8 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from helpers import default_cam
-from reprojkit.errors import EmptySceneError, InvalidSpecError
+from reprojkit.config import scene_from_dict, scene_to_dict
+from reprojkit.errors import ConfigError, EmptySceneError, InvalidSpecError
 from reprojkit.geometry import CameraIntrinsics, PoseSE3
 from reprojkit.scene import (
     Box,
@@ -14,7 +17,7 @@ from reprojkit.scene import (
     look_at,
     render_view,
 )
-from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture, texture_to_dict
+from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture
 
 CAM = default_cam(width=81, height=61, f=60.0)
 CHECKER = CheckerTexture(scale=0.1)
@@ -243,13 +246,15 @@ class TestSceneSpec:
              Sphere((0, -1, 2), 0.7, texture=2)),
             (CheckerTexture(0.1), StripeTexture(0.05), NoiseTexture(0.08, seed=5)),
             background=(0.1, 0.2, 0.3))
-        again = SceneSpec.from_dict(scene.to_dict())
+        again, _ = scene_from_dict(scene_to_dict(scene, CAM))
         assert again == scene
 
     def test_malformed_dict_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            SceneSpec.from_dict({"primitives": [{"kind": "torus"}], "textures": []})
+        camera = asdict(CAM)
+        with pytest.raises(ConfigError, match="malformed scene"):
+            scene_from_dict({"camera": camera, "primitives": [{"kind": "torus"}],
+                             "textures": []})
         bad_box = {"kind": "box", "center": [0, 0, 0], "half_size": ["a", "b", "c"]}
-        with pytest.raises(InvalidSpecError, match="malformed scene spec"):
-            SceneSpec.from_dict({"primitives": [bad_box],
-                                 "textures": [texture_to_dict(CHECKER)]})
+        with pytest.raises(ConfigError, match="malformed scene"):
+            scene_from_dict({"camera": camera, "primitives": [bad_box],
+                             "textures": [{"kind": "checker"}]})
