@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -83,10 +84,6 @@ class RunConfig:
     def __post_init__(self):
         if self.scene is not None and not isinstance(self.scene, str):
             raise InvalidSpecError(f"scene must be a builtin tag or a path, got {self.scene!r}")
-        for name in ("n_pairs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         if self.n_pairs < 1:
             raise InvalidSpecError("n_pairs must be positive")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -147,6 +144,11 @@ def _spec_from_dict(cls_or_kinds, table, where: str):
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     try:
+        # JSON numbers: an int field takes no float or bool; a float field takes ints
+        hints = get_type_hints(cls)
+        for name, value in kwargs.items():
+            if hints[name] is int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         return cls(**kwargs)
     except (InvalidSpecError, ValueError) as e:
         raise ConfigError(f"invalid {where}: {e}") from e
@@ -186,10 +188,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"scene file {scene_path} does not exist")
         cfg = replace(cfg, scene=str(scene_path))
     return cfg
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(canonical_json(config_to_dict(cfg)))
 
 
 def canonical_json(data) -> str:

@@ -1,9 +1,7 @@
 """Training-pair sampling and ground-truth correspondence generation.
 
-Dense maps record, for every source pixel center, the sub-pixel landing
-point in the destination view (or a rejection reason). Cell-level
-indicators mark pairs of 8x8 grid cells whose centers land within a
-pixel threshold of each other, either through the depth-based
+Cell-level indicators mark pairs of 8x8 grid cells whose centers land
+within a pixel threshold of each other, either through the depth-based
 reprojection map or through a homography.
 """
 
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import write_pfm, write_pgm
 from .errors import EmptySceneError, InvalidSpecError, ShapeError
 from .geometry import RenderedView, ReprojectionParams, apply_homography, reproject_points
 
@@ -52,40 +49,6 @@ class PairSampler:
 
     def draw(self, k: int) -> list[tuple[int, int]]:
         return [self.sample() for _ in range(k)]
-
-
-@dataclass(frozen=True)
-class CorrespondenceMap:
-    """Per-pixel map src -> dst with sub-pixel targets and reject codes."""
-
-    targets: np.ndarray  # (H, W, 2) float, NaN where invalid
-    valid: np.ndarray    # (H, W) bool
-    reasons: np.ndarray  # (H, W) uint8 RejectReason codes, 0 where valid
-    src_index: int
-    dst_index: int
-
-
-def dense_correspondences(src: RenderedView, dst: RenderedView,
-                          params: ReprojectionParams) -> CorrespondenceMap:
-    """Reproject every src pixel center into dst."""
-    h, w = src.cam.height, src.cam.width
-    xs, ys = np.meshgrid(np.arange(w), np.arange(h))
-    pts = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(np.float64)
-    targets, _, reasons = reproject_points(pts, src, dst, params)
-    return CorrespondenceMap(targets.reshape(h, w, 2),
-                             (reasons == 0).reshape(h, w),
-                             reasons.reshape(h, w),
-                             src.index, dst.index)
-
-
-def write_correspondence(cmap: CorrespondenceMap, stem) -> None:
-    """Export a dense map as two PFM channels plus a PGM validity mask."""
-    stem = str(stem)
-    x = np.where(cmap.valid, cmap.targets[..., 0], 0.0)
-    y = np.where(cmap.valid, cmap.targets[..., 1], 0.0)
-    write_pfm(stem + "_x.pfm", x)
-    write_pfm(stem + "_y.pfm", y)
-    write_pgm(stem + "_valid.pgm", np.where(cmap.valid, 255, 0).astype(np.uint8))
 
 
 @dataclass(frozen=True)

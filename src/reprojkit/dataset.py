@@ -20,46 +20,31 @@ from .errors import DatasetError, ShapeError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
 
 
-# format name -> (magic number, trailing array shape, layout for messages)
-_PNM_FORMATS = {"PPM": (b"P6", (3,), "HxWx3"), "PGM": (b"P5", (), "HxW")}
-
-
-def _write_pnm(path, pixels: np.ndarray, fmt: str):
-    """Binary 8-bit PNM: PPM for RGB images, PGM for grayscale."""
-    magic, tail, layout = _PNM_FORMATS[fmt]
-    pixels = np.asarray(pixels)
-    if pixels.dtype != np.uint8 or pixels.ndim != 2 + len(tail) or pixels.shape[2:] != tail:
-        raise ShapeError(f"{fmt} wants uint8 {layout}, got {pixels.dtype} {pixels.shape}")
-    h, w = pixels.shape[:2]
+def write_ppm(path, image: np.ndarray):
+    """Binary 8-bit RGB PPM."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[2] != 3:
+        raise ShapeError(f"PPM wants uint8 HxWx3, got {image.dtype} {image.shape}")
+    h, w = image.shape[:2]
     with open(path, "wb") as f:
-        f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(image.tobytes())
 
 
-def _read_pnm(path, fmt: str) -> np.ndarray:
-    magic, tail, _ = _PNM_FORMATS[fmt]
-    channels = int(np.prod(tail))
+def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     try:
         head, dims, maxval, rest = data.split(b"\n", 3)
         w, h = (int(v) for v in dims.split())
-        if head != magic or int(maxval) != 255:
-            raise ValueError(f"unsupported {fmt} variant")
-        pixels = np.frombuffer(rest[: w * h * channels], dtype=np.uint8)
-        if pixels.size != w * h * channels:
+        if head != b"P6" or int(maxval) != 255:
+            raise ValueError("unsupported PPM variant")
+        pixels = np.frombuffer(rest[: w * h * 3], dtype=np.uint8)
+        if pixels.size != w * h * 3:
             raise ValueError("truncated pixel data")
     except ValueError as e:
-        raise DatasetError(f"corrupt {fmt} {path}: {e}") from e
-    return pixels.reshape((h, w) + tail).copy()
-
-
-def write_ppm(path, image: np.ndarray):
-    _write_pnm(path, image, "PPM")
-
-
-def read_ppm(path) -> np.ndarray:
-    return _read_pnm(path, "PPM")
+        raise DatasetError(f"corrupt PPM {path}: {e}") from e
+    return pixels.reshape(h, w, 3).copy()
 
 
 def write_pfm(path, values: np.ndarray):
@@ -88,14 +73,6 @@ def read_pfm(path) -> np.ndarray:
     except ValueError as e:
         raise DatasetError(f"corrupt PFM {path}: {e}") from e
     return np.flipud(vals.reshape(h, w)).astype(np.float32)
-
-
-def write_pgm(path, values: np.ndarray):
-    _write_pnm(path, values, "PGM")
-
-
-def read_pgm(path) -> np.ndarray:
-    return _read_pnm(path, "PGM")
 
 
 @dataclass(frozen=True)

@@ -241,27 +241,3 @@ def match_mnn(desc1: np.ndarray, desc2: np.ndarray, ratio: float | None = None) 
     keep = ok12[idx1] & ok21[idx2]
     idx1, idx2 = idx1[keep], idx2[keep]
     return MatchSet(idx1, idx2, sims[idx1, idx2])
-
-
-def write_features(path, kps: KeypointSet, desc: np.ndarray) -> None:
-    """One `x y score d_1 ... d_D` line per keypoint."""
-    if len(kps) != len(desc):
-        raise ShapeError("keypoint and descriptor counts differ")
-    with open(path, "w") as f:
-        for (x, y), s, d in zip(kps.xy, kps.score, desc):
-            f.write(f"{x:.6f} {y:.6f} {s:.8f} " + " ".join(f"{v:.8f}" for v in d) + "\n")
-
-
-def read_features(path):
-    xy, scores, desc = [], [], []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            vals = [float(v) for v in line.split()]
-            xy.append(vals[:2])
-            scores.append(vals[2])
-            desc.append(vals[3:])
-    if not xy:
-        return KeypointSet(np.zeros((0, 2)), np.zeros(0)), np.zeros((0, 0))
-    return KeypointSet(np.array(xy), np.array(scores)), np.array(desc)

@@ -10,7 +10,6 @@ Conventions used throughout the toolkit:
 * Poses are camera-to-world: ``X_world = R @ X_cam + t``.
 * Depth maps store *ray distance* (the Euclidean distance from the
   camera center to the surface along the pixel ray), not z-depth.
-  ``ray_distance_to_z`` / ``z_to_ray_distance`` convert between the two.
 """
 
 from __future__ import annotations
@@ -161,12 +160,6 @@ class DepthMap:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def at(self, x: int, y: int) -> float:
-        """Depth at an integer pixel; raises if invalid there."""
-        if not self.valid[y, x]:
-            raise InvalidDepthError(f"no valid depth at pixel ({x}, {y})")
-        return float(self.values[y, x])
-
 
 @dataclass(frozen=True)
 class ReprojectionParams:
@@ -281,18 +274,6 @@ def apply_homography(H: np.ndarray, points: np.ndarray) -> np.ndarray:
     hom = np.column_stack([points, np.ones(len(points))]) @ np.swapaxes(H, -1, -2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return hom[..., :2] / hom[..., 2:]
-
-
-def ray_distance_to_z(p: np.ndarray, d, cam: CameraIntrinsics):
-    """Convert ray distance along the pixel ray of ``p`` into z-depth."""
-    rays = cam.pixel_rays(p)
-    return np.asarray(d, dtype=np.float64) / np.linalg.norm(rays, axis=-1)
-
-
-def z_to_ray_distance(p: np.ndarray, z, cam: CameraIntrinsics):
-    """Convert z-depth at pixel ``p`` into ray distance."""
-    rays = cam.pixel_rays(p)
-    return np.asarray(z, dtype=np.float64) * np.linalg.norm(rays, axis=-1)
 
 
 def robust_depth(p: np.ndarray, depth: DepthMap, params: ReprojectionParams) -> float:

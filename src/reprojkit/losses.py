@@ -34,25 +34,6 @@ class DescriptorLossParams:
             raise InvalidSpecError(f"positive_weight must be > 0, got {self.positive_weight}")
 
 
-def validate_descriptor_grid(grid: np.ndarray, atol: float = 1e-6) -> np.ndarray:
-    """Check a (Hc, Wc, D) grid of unit descriptors."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ShapeError(f"descriptor grid must be (Hc, Wc, D), got {grid.shape}")
-    norms = np.linalg.norm(grid, axis=-1)
-    if np.any(np.abs(norms - 1.0) > atol):
-        raise InvalidSpecError("descriptor grid entries must be unit L2 norm")
-    return grid
-
-
-def hinge_term(d: np.ndarray, d2: np.ndarray, s: int, params: DescriptorLossParams) -> float:
-    """Weighted positive/negative hinge on the descriptor inner product."""
-    sim = float(np.dot(np.asarray(d, dtype=np.float64), np.asarray(d2, dtype=np.float64)))
-    pos = params.positive_weight * s * max(0.0, params.positive_margin - sim)
-    neg = (1 - s) * max(0.0, sim - params.negative_margin)
-    return pos + neg
-
-
 def _dense_indicator(S, src_shape, dst_shape) -> np.ndarray:
     if isinstance(S, CellCorrespondence):
         if S.src_cells != src_shape or S.dst_cells != dst_shape:

@@ -160,11 +160,13 @@ class TestSynth:
         res = runner.invoke(cli.main, ["synth", "-c", str(cfg)])
         assert res.exit_code == 1
 
-    @pytest.mark.parametrize("case", ["non-table primitive", "string seed"])
+    @pytest.mark.parametrize("case", ["non-table primitive", "string seed", "float frames"])
     def test_malformed_input_exits_1_without_traceback(self, tmp_path, case):
         out = tmp_path / "run"
         if case == "string seed":
             cfg = small_config_file(tmp_path, out, seed="x")
+        elif case == "float frames":
+            cfg = small_config_file(tmp_path, out, trajectory={"kind": "line", "frames": 4.5})
         else:
             cfg = small_config_file(tmp_path, out)
             scene = json.loads((tmp_path / "scene.json").read_text())

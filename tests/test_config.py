@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import asdict, replace
+from typing import get_type_hints
 
 import pytest
 
@@ -17,7 +18,6 @@ from reprojkit.config import (
     default_config,
     load_config,
     load_scene,
-    save_config,
     scene_from_dict,
     scene_to_dict,
 )
@@ -100,7 +100,7 @@ class TestFiles:
         cfg = RunConfig(trajectory=TrajectorySpec(frames=12), seed=9,
                         n_pairs=4, output_dir="elsewhere")
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(canonical_json(config_to_dict(cfg)))
         assert load_config(path) == cfg
 
     def test_not_json(self, tmp_path):
@@ -240,6 +240,7 @@ MALFORMED_SCENES = {
     "non-list primitives": _edited(primitives={"kind": "sphere", "center": [0, 0, 0],
                                                "radius": 1.0}),
     "unknown camera key": _camera_with(fov=60),
+    "float camera width": _camera_with(width=160.5),
     "unknown scene key": _edited(lights=[]),
     "missing camera": _without("camera"),
     "non-table camera": _edited(camera=[128.0, 128.0]),
@@ -263,6 +264,41 @@ MALFORMED_CONFIGS = {
     "non-table section": {"eval": [8]},
     "non-table root": [],
 }
+
+
+# every int-annotated field of the numeric config sections
+INT_FIELDS = {
+    "trajectory": ("frames", "seed"),
+    "sampling": ("min_offset", "max_offset", "seed"),
+    "adaptation": ("window_len", "n_sampled", "nms_radius", "patch", "seed"),
+    "eval": ("cell", "pair_min_offset", "pair_max_offset", "detect_k", "nms_radius",
+             "descriptor_dim", "ransac_iterations"),
+}
+INT_FIELD_CASES = [(section, name, bad) for section, names in INT_FIELDS.items()
+                   for name in names for bad in (4.5, 4.0, True)]
+
+
+class TestIntFields:
+    def test_table_lists_every_int_field(self):
+        cfg = default_config()
+        for section, names in INT_FIELDS.items():
+            hints = get_type_hints(type(getattr(cfg, section)))
+            assert names == tuple(k for k, v in hints.items() if v is int), section
+
+    @pytest.mark.parametrize("section,name,bad", INT_FIELD_CASES,
+                             ids=[f"{s}.{n}={b!r}" for s, n, b in INT_FIELD_CASES])
+    def test_non_int_rejected(self, section, name, bad):
+        with pytest.raises(ConfigError,
+                           match=rf"^invalid {section}: {name} must be an integer, got ") as info:
+            config_from_dict({section: {name: bad}})
+        assert isinstance(info.value.__cause__, InvalidSpecError)
+
+    def test_float_fields_take_ints_as_given(self):
+        cfg = config_from_dict({"eval": {"match_ratio": 1, "pixel_eps": 2},
+                                "reprojection": {"depth_eps": 1}})
+        assert cfg.eval.match_ratio == 1 and type(cfg.eval.match_ratio) is int
+        assert cfg.eval.pixel_eps == 2 and type(cfg.eval.pixel_eps) is int
+        assert cfg.reprojection.depth_eps == 1 and type(cfg.reprojection.depth_eps) is int
 
 
 class TestMalformedInput:

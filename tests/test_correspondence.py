@@ -1,4 +1,4 @@
-"""Pair sampling, dense correspondence maps, and cell indicators."""
+"""Pair sampling, dense reprojection over the pixel grid, and cell indicators."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,9 @@ from reprojkit.correspondence import (
     cell_centers,
     cell_correspondence_homography,
     cell_correspondence_reprojection,
-    dense_correspondences,
     read_cell_positives,
     write_cell_correspondence,
-    write_correspondence,
 )
-from reprojkit.dataset import read_pfm, read_pgm
 from reprojkit.errors import EmptySceneError, InvalidSpecError, ShapeError
 from reprojkit.geometry import (
     DepthMap,
@@ -24,6 +21,7 @@ from reprojkit.geometry import (
     RenderedView,
     ReprojectionParams,
     relative_pose,
+    reproject_points,
 )
 
 from helpers import default_cam, flat_view, rotation
@@ -78,15 +76,28 @@ def test_bad_offsets_rejected(lo, hi):
 
 # ---------------------------------------------------------------- dense maps
 
+def dense_reproject(src, dst, params):
+    """``reproject_points`` over every src pixel center.
+
+    Returns (H, W, 2) targets, an (H, W) validity mask and (H, W) reasons.
+    """
+    h, w = src.cam.height, src.cam.width
+    xs, ys = np.meshgrid(np.arange(w), np.arange(h))
+    pts = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(np.float64)
+    targets, _, reasons = reproject_points(pts, src, dst, params)
+    reasons = reasons.reshape(h, w)
+    return targets.reshape(h, w, 2), reasons == 0, reasons
+
+
 def test_identity_pair_maps_pixels_to_themselves():
     cam = small_cam()
     view = flat_view(cam, PoseSE3.identity(), plane_z=2.0)
-    cmap = dense_correspondences(view, view, ReprojectionParams())
-    assert cmap.valid.all()
+    targets, valid, reasons = dense_reproject(view, view, ReprojectionParams())
+    assert valid.all()
     xs, ys = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
-    np.testing.assert_allclose(cmap.targets[..., 0], xs, atol=1e-9)
-    np.testing.assert_allclose(cmap.targets[..., 1], ys, atol=1e-9)
-    assert (cmap.reasons == 0).all()
+    np.testing.assert_allclose(targets[..., 0], xs, atol=1e-9)
+    np.testing.assert_allclose(targets[..., 1], ys, atol=1e-9)
+    assert (reasons == 0).all()
 
 
 def test_translation_pair_is_uniform_disparity():
@@ -94,16 +105,16 @@ def test_translation_pair_is_uniform_disparity():
     baseline, z = 0.25, 2.0
     src = flat_view(cam, PoseSE3.identity(), z, index=0)
     dst = flat_view(cam, PoseSE3(np.eye(3), [baseline, 0.0, 0.0]), z, index=1)
-    cmap = dense_correspondences(src, dst, ReprojectionParams(window=1))
+    targets, valid, reasons = dense_reproject(src, dst, ReprojectionParams(window=1))
     disparity = cam.fx * baseline / z
     xs, ys = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
     expected_x = xs - disparity
     inb = expected_x >= 0
-    assert cmap.valid[inb].all()
-    assert not cmap.valid[~inb].any()
-    assert (cmap.reasons[~inb] == RejectReason.OUT_OF_BOUNDS).all()
-    np.testing.assert_allclose(cmap.targets[inb][:, 0], expected_x[inb], atol=1e-6)
-    np.testing.assert_allclose(cmap.targets[inb][:, 1], ys[inb], atol=1e-6)
+    assert valid[inb].all()
+    assert not valid[~inb].any()
+    assert (reasons[~inb] == RejectReason.OUT_OF_BOUNDS).all()
+    np.testing.assert_allclose(targets[inb][:, 0], expected_x[inb], atol=1e-6)
+    np.testing.assert_allclose(targets[inb][:, 1], ys[inb], atol=1e-6)
 
 
 def test_foreground_strip_occludes():
@@ -111,13 +122,13 @@ def test_foreground_strip_occludes():
     pose = PoseSE3.identity()
     bg = plane_view_with_strip(cam, pose, strip=None)
     fg = plane_view_with_strip(cam, pose, strip=(24, 40))
-    cmap = dense_correspondences(bg, fg, ReprojectionParams())
-    assert (cmap.reasons[:, 27:37] == RejectReason.OCCLUDED).all()
+    targets, valid, reasons = dense_reproject(bg, fg, ReprojectionParams())
+    assert (reasons[:, 27:37] == RejectReason.OCCLUDED).all()
     far = np.ones(cam.width, dtype=bool)
     far[21:43] = False
-    assert cmap.valid[:, far].all()
+    assert valid[:, far].all()
     xs = np.arange(cam.width)[far]
-    np.testing.assert_allclose(cmap.targets[:, far, 0],
+    np.testing.assert_allclose(targets[:, far, 0],
                                np.broadcast_to(xs, (cam.height, far.sum())), atol=1e-9)
 
 
@@ -137,20 +148,20 @@ def test_invalid_source_depth_marks_reason():
     cam = small_cam()
     view = flat_view(cam, PoseSE3.identity(), 2.0)
     vals = view.depth.values.copy()
-    valid = view.depth.valid.copy()
-    valid[10:14, 20:25] = False
-    src = RenderedView(view.image, DepthMap(vals, valid), cam, view.pose, 0)
-    cmap = dense_correspondences(src, view, ReprojectionParams())
+    depth_valid = view.depth.valid.copy()
+    depth_valid[10:14, 20:25] = False
+    src = RenderedView(view.image, DepthMap(vals, depth_valid), cam, view.pose, 0)
+    _, valid, reasons = dense_reproject(src, view, ReprojectionParams())
     # a 5x5 window recovers depth near the small hole, so only pixels
     # whose whole window is invalid are errors; the center of the hole is
-    assert cmap.reasons[12, 22] == RejectReason.INVALID_DEPTH or cmap.valid[12, 22]
-    big = valid.copy()
+    assert reasons[12, 22] == RejectReason.INVALID_DEPTH or valid[12, 22]
+    big = depth_valid.copy()
     big[:] = True
     big[:20, :32] = False
     src2 = RenderedView(view.image, DepthMap(vals, big), cam, view.pose, 0)
-    cmap2 = dense_correspondences(src2, view, ReprojectionParams())
-    assert (cmap2.reasons[:17, :29] == RejectReason.INVALID_DEPTH).all()
-    assert cmap2.valid[25:, 40:].all()
+    _, valid2, reasons2 = dense_reproject(src2, view, ReprojectionParams())
+    assert (reasons2[:17, :29] == RejectReason.INVALID_DEPTH).all()
+    assert valid2[25:, 40:].all()
 
 
 def test_forward_backward_consistency():
@@ -158,31 +169,15 @@ def test_forward_backward_consistency():
     src = flat_view(cam, PoseSE3.identity(), 2.0, index=0)
     dst = flat_view(cam, PoseSE3(rotation([0, 1, 0], 3.0), [0.12, 0.05, 0.0]), 2.0, index=1)
     params = ReprojectionParams()
-    fwd = dense_correspondences(src, dst, params)
-    bwd = dense_correspondences(dst, src, params)
-    ys, xs = np.nonzero(fwd.valid)
-    landed = np.rint(fwd.targets[ys, xs]).astype(int)
-    ok = bwd.valid[landed[:, 1], landed[:, 0]]
-    back = bwd.targets[landed[ok, 1], landed[ok, 0]]
+    fwd_targets, fwd_valid, _ = dense_reproject(src, dst, params)
+    bwd_targets, bwd_valid, _ = dense_reproject(dst, src, params)
+    ys, xs = np.nonzero(fwd_valid)
+    landed = np.rint(fwd_targets[ys, xs]).astype(int)
+    ok = bwd_valid[landed[:, 1], landed[:, 0]]
+    back = bwd_targets[landed[ok, 1], landed[ok, 0]]
     err = np.hypot(back[:, 0] - xs[ok], back[:, 1] - ys[ok])
     assert ok.mean() > 0.9
     assert err.max() <= 1.0
-
-
-def test_dense_map_export_roundtrip(tmp_path):
-    cam = small_cam(side=32)
-    src = flat_view(cam, PoseSE3.identity(), 2.0, index=0)
-    dst = flat_view(cam, PoseSE3(np.eye(3), [0.1, 0.0, 0.0]), 2.0, index=1)
-    cmap = dense_correspondences(src, dst, ReprojectionParams())
-    stem = str(tmp_path / "pair")
-    write_correspondence(cmap, stem)
-    x = read_pfm(stem + "_x.pfm")
-    y = read_pfm(stem + "_y.pfm")
-    mask = read_pgm(stem + "_valid.pgm") == 255
-    np.testing.assert_array_equal(mask, cmap.valid)
-    np.testing.assert_allclose(x[mask], cmap.targets[..., 0][mask].astype(np.float32))
-    np.testing.assert_allclose(y[mask], cmap.targets[..., 1][mask].astype(np.float32))
-    assert (x[~mask] == 0).all()
 
 
 # ---------------------------------------------------------------- cell grids

@@ -8,14 +8,12 @@ from reprojkit.dataset import (
     Dataset,
     read_dataset,
     read_pfm,
-    read_pgm,
     read_ppm,
     write_dataset,
     write_pfm,
-    write_pgm,
     write_ppm,
 )
-from reprojkit.errors import DatasetError
+from reprojkit.errors import DatasetError, ShapeError
 from reprojkit.geometry import DepthMap, RenderedView
 
 CAM = default_cam(width=33, height=25, f=20.0)
@@ -44,11 +42,6 @@ class TestPixelFormats:
         got = read_pfm(tmp_path / "a.pfm")
         np.testing.assert_array_equal(got, vals.astype(np.float32))
 
-    def test_pgm_round_trip(self, tmp_path):
-        vals = np.random.default_rng(3).integers(0, 256, (4, 11), dtype=np.uint8)
-        write_pgm(tmp_path / "a.pgm", vals)
-        np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), vals)
-
     def test_truncated_ppm_rejected(self, tmp_path):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
         write_ppm(tmp_path / "a.ppm", img)
@@ -56,6 +49,21 @@ class TestPixelFormats:
         (tmp_path / "a.ppm").write_bytes(data[:-5])
         with pytest.raises(DatasetError):
             read_ppm(tmp_path / "a.ppm")
+
+    def test_ppm_header_and_error_texts(self, tmp_path):
+        path = tmp_path / "a.ppm"
+        write_ppm(path, np.zeros((7, 5, 3), dtype=np.uint8))
+        assert path.read_bytes() == b"P6\n5 7\n255\n" + bytes(105)
+        with pytest.raises(ShapeError, match=r"^PPM wants uint8 HxWx3, got float64 \(4, 4, 3\)$"):
+            write_ppm(path, np.zeros((4, 4, 3)))
+        with pytest.raises(ShapeError, match=r"^PPM wants uint8 HxWx3, got uint8 \(4, 4\)$"):
+            write_ppm(path, np.zeros((4, 4), dtype=np.uint8))
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        with pytest.raises(DatasetError, match=r"^corrupt PPM .*a\.ppm: unsupported PPM variant$"):
+            read_ppm(path)
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
+        with pytest.raises(DatasetError, match=r"^corrupt PPM .*a\.ppm: truncated pixel data$"):
+            read_ppm(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         (tmp_path / "a.pfm").write_bytes(b"PF\n3 3\n-1.0\n" + b"\0" * 108)

@@ -7,14 +7,7 @@ import pytest
 
 from reprojkit import frontend
 from reprojkit.errors import ImageTooSmallError, InvalidSpecError, ShapeError
-from reprojkit.frontend import (
-    describe,
-    detect,
-    match_mnn,
-    read_features,
-    top_k,
-    write_features,
-)
+from reprojkit.frontend import describe, detect, match_mnn, top_k
 from reprojkit.geometry import PoseSE3, project
 from reprojkit.scene import Plane, SceneSpec, render_view
 from reprojkit.textures import CheckerTexture
@@ -470,20 +463,3 @@ class TestMatchBlocks:
             match_mnn(a, b, ratio=0.8)
         with pytest.raises(InvalidSpecError, match="finite"):
             match_mnn(b, a)
-
-
-def test_feature_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    img = rng.random((64, 64))
-    kps = top_k(detect(img), 25, nms_radius=3)
-    desc, kept = describe(img, kps.xy)
-    from reprojkit.frontend import KeypointSet
-    kps = KeypointSet(kps.xy[kept], kps.score[kept])
-    path = tmp_path / "features.txt"
-    write_features(path, kps, desc)
-    back_kps, back_desc = read_features(path)
-    np.testing.assert_allclose(back_kps.xy, kps.xy, atol=1e-6)
-    np.testing.assert_allclose(back_kps.score, kps.score, atol=1e-8)
-    np.testing.assert_allclose(back_desc, desc, atol=1e-8)
-    with pytest.raises(ShapeError):
-        write_features(path, kps, desc[:-1])

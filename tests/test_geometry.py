@@ -15,13 +15,11 @@ from reprojkit.geometry import (
     apply_homography,
     backproject,
     project,
-    ray_distance_to_z,
     relative_pose,
     reproject,
     reproject_points,
     robust_depth,
     robust_depth_map,
-    z_to_ray_distance,
 )
 
 CAM = default_cam()  # 301x201, f=100, principal point (150, 100)
@@ -85,15 +83,6 @@ class TestProject:
         pose = random_pose(np.random.default_rng(seed))
         pix, _ = project(backproject(np.array([x, y]), d, CAM, pose), CAM, pose)
         np.testing.assert_allclose(pix, [x, y], atol=1e-6)
-
-
-class TestDepthConversions:
-    def test_round_trip(self):
-        p = np.array([[10.0, 20.0], [250.0, 100.0]])
-        d = np.array([3.0, np.sqrt(2.0)])
-        z = ray_distance_to_z(p, d, CAM)
-        np.testing.assert_allclose(z[1], 1.0, atol=1e-12)
-        np.testing.assert_allclose(z_to_ray_distance(p, z, CAM), d, atol=1e-12)
 
 
 class TestRobustDepth:

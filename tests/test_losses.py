@@ -11,8 +11,6 @@ from reprojkit.losses import (
     descriptor_loss,
     detector_loss,
     detector_targets,
-    hinge_term,
-    validate_descriptor_grid,
 )
 
 
@@ -22,24 +20,30 @@ def unit_rows(rng, shape):
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
+def one_cell_loss(a, b, s):
+    """``descriptor_loss`` of one 1x1-cell grid pair: the hinge on a . b."""
+    S = np.full((1, 1, 1, 1), bool(s))
+    return descriptor_loss(np.reshape(a, (1, 1, -1)), np.reshape(b, (1, 1, -1)), S)[0]
+
+
 class TestHingeTerm:
     def test_identical_positive_is_zero(self):
         d = np.array([0.6, 0.8])
-        assert hinge_term(d, d, 1, DescriptorLossParams()) == 0.0
+        assert one_cell_loss(d, d, 1) == 0.0
 
     def test_identical_negative_pays_margin(self):
         d = np.array([0.6, 0.8])
-        assert hinge_term(d, d, 0, DescriptorLossParams()) == pytest.approx(0.8)
+        assert one_cell_loss(d, d, 0) == pytest.approx(0.8)
 
     def test_orthogonal_negative_is_zero(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert hinge_term(a, b, 0, DescriptorLossParams()) == 0.0
+        assert one_cell_loss(a, b, 0) == 0.0
 
     def test_orthogonal_positive_pays_weighted_margin(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert hinge_term(a, b, 1, DescriptorLossParams()) == pytest.approx(250.0)
+        assert one_cell_loss(a, b, 1) == pytest.approx(250.0)
 
     def test_param_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -157,14 +161,6 @@ class TestDescriptorLoss:
             descriptor_loss(g1, g2, np.zeros((2, 2, 2, 2), bool))
         with pytest.raises(ShapeError):
             descriptor_loss(g1, g1, np.zeros((3, 3), bool))
-
-    def test_grid_validator(self):
-        rng = np.random.default_rng(5)
-        validate_descriptor_grid(unit_rows(rng, (2, 2, 8)))
-        with pytest.raises(InvalidSpecError):
-            validate_descriptor_grid(rng.normal(size=(2, 2, 8)) * 3.0)
-        with pytest.raises(ShapeError):
-            validate_descriptor_grid(np.ones((4, 4)))
 
 
 class TestDetectorTargets:
