@@ -144,11 +144,14 @@ def _spec_from_dict(cls_or_kinds, table, where: str):
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     try:
-        # JSON numbers: an int field takes no float or bool; a float field takes ints
+        # JSON numbers: an int field takes no float or bool; a float field
+        # takes ints but no bool
         hints = get_type_hints(cls)
         for name, value in kwargs.items():
             if hints[name] is int and (not isinstance(value, int) or isinstance(value, bool)):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+            if hints[name] in (float, float | None) and isinstance(value, bool):
+                raise InvalidSpecError(f"{name} must be a number, got {value!r}")
         return cls(**kwargs)
     except (InvalidSpecError, ValueError) as e:
         raise ConfigError(f"invalid {where}: {e}") from e

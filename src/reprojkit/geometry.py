@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import maximum_filter, minimum_filter
@@ -65,6 +66,17 @@ class CameraIntrinsics:
         x = (points[..., 0] - self.cx) / self.fx
         y = (points[..., 1] - self.cy) / self.fy
         return np.stack([x, y, np.ones_like(x)], axis=-1)
+
+    @cached_property
+    def pixel_directions(self) -> np.ndarray:
+        """Unit camera-frame rays through every pixel center, row-major
+        (height * width, 3); computed once per intrinsics and read-only."""
+        xs, ys = np.meshgrid(np.arange(self.width), np.arange(self.height))
+        pix = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(np.float64)
+        rays = self.pixel_rays(pix)
+        dirs = rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+        dirs.flags.writeable = False
+        return dirs
 
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """True where (..., 2) pixel locations fall inside the image.

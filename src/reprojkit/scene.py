@@ -5,6 +5,20 @@ boxes, spheres). One ray is cast through each pixel center; the nearest
 hit is shaded with the primitive's procedural texture and its Euclidean
 hit distance becomes the depth value. Misses produce the background
 color and an invalid depth.
+
+Culling: a sphere or a box is intersected only with the rays that pass
+within its bounding sphere (the sphere itself; for a box, the sphere of
+radius ``|half_size|`` about its center) at a point ahead of the ray
+origin. Every point a primitive can report as a hit lies inside that
+bound, so a culled ray could only have missed. The bound's radius is
+widened by ``1e-6 * (radius + |center| + distance to the origin)``. The
+rounding of the cull test and of the primitive's own test is about 1e-16
+of those magnitudes, so a ray that rounding puts on the surface is kept
+too, and the margin can only add rays. The kept rays go through the
+primitive's unchanged ``intersect``, and elementwise numpy arithmetic
+does not depend on which other rays share the call, so the culled
+renderer is bit-identical to intersecting every ray with every primitive.
+Planes are never culled: the ground plane spans most of the view.
 """
 
 from __future__ import annotations
@@ -52,8 +66,8 @@ class Plane:
     u_axis: tuple | None = None
 
     def __post_init__(self):
-        if not (self.half_u > 0 and self.half_v > 0):
-            raise InvalidSpecError("plane extents must be positive")
+        if not (0 < self.half_u < np.inf and 0 < self.half_v < np.inf):
+            raise InvalidSpecError("plane extents must be positive and finite")
         _vec3(self.origin, "plane origin")
         n = _unit(self.normal)
         if self.u_axis is not None:
@@ -65,6 +79,10 @@ class Plane:
             u = _unit(np.cross(helper, n))
         object.__setattr__(self, "normal", tuple(n))
         object.__setattr__(self, "u_axis", tuple(u))
+
+    def bounding_sphere(self):
+        """None: a plane is intersected with every ray."""
+        return None
 
     def frame(self):
         n = np.asarray(self.normal)
@@ -96,8 +114,12 @@ class Box:
     def __post_init__(self):
         _vec3(self.center, "box center")
         hs = np.asarray(self.half_size, dtype=np.float64)
-        if hs.shape != (3,) or np.any(hs <= 0):
-            raise InvalidSpecError("box half sizes must be 3 positive numbers")
+        if hs.shape != (3,) or not np.all((hs > 0) & (hs < np.inf)):
+            raise InvalidSpecError("box half sizes must be 3 positive finite numbers")
+
+    def bounding_sphere(self):
+        return (np.asarray(self.center, dtype=np.float64),
+                float(np.linalg.norm(np.asarray(self.half_size, dtype=np.float64))))
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         c = np.asarray(self.center, dtype=np.float64)
@@ -132,9 +154,12 @@ class Sphere:
     texture: int = 0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidSpecError("sphere radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise InvalidSpecError("sphere radius must be positive and finite")
         _vec3(self.center, "sphere center")
+
+    def bounding_sphere(self):
+        return np.asarray(self.center, dtype=np.float64), float(self.radius)
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         oc = origins - np.asarray(self.center, dtype=np.float64)
@@ -175,18 +200,51 @@ class SceneSpec:
         object.__setattr__(self, "textures", tuple(self.textures))
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        """Nearest hit over all primitives: (t, primitive index, uvs).
+        """Nearest hit over all primitives: (t, primitive index, uv).
 
-        A miss has t = inf and index -1. ``uvs`` lists each primitive's
-        (..., 2) texture coordinates for every ray, in primitive order;
-        only the entries where the index selects that primitive are hits
-        on it.
+        ``uv`` holds the (..., 2) texture coordinates of each ray's nearest
+        hit. A miss has t = inf, index -1 and uv NaN. Of two primitives hit
+        at exactly the same t, the lower index wins. ``dirs`` are unit
+        vectors, and ``origins`` is one point shared by every ray or one
+        point per ray. Spheres and boxes see only the rays that pass within
+        their bounding sphere (see the module docstring).
         """
-        hits = [p.intersect(origins, dirs) for p in self.primitives]
-        ts = np.stack([t for t, _ in hits], axis=0)
-        idx = np.argmin(ts, axis=0)
-        t = np.take_along_axis(ts, idx[None], axis=0)[0]
-        return t, np.where(np.isfinite(t), idx, -1), [uv for _, uv in hits]
+        shape = dirs.shape[:-1]
+        dirs = dirs.reshape(-1, 3)
+        n = len(dirs)
+        origins = np.asarray(origins, dtype=np.float64)
+        if origins.ndim > 1:
+            origins = np.broadcast_to(origins, (*shape, 3)).reshape(n, 3)
+        t, nearest, uv = np.full(n, np.inf), np.full(n, -1), np.full((n, 2), np.nan)
+        for i, prim in enumerate(self.primitives):
+            bound = prim.bounding_sphere()
+            rays = (slice(None) if bound is None
+                    else np.flatnonzero(_passes_within(bound, origins, dirs)))
+            d = dirs[rays]
+            o = origins if origins.ndim == 1 else origins[rays]
+            t_i, uv_i = prim.intersect(np.broadcast_to(o, d.shape), d)
+            closer = t_i < t[rays]
+            t[rays] = np.where(closer, t_i, t[rays])
+            nearest[rays] = np.where(closer, i, nearest[rays])
+            uv[rays] = np.where(closer[:, None], uv_i, uv[rays])
+        return t.reshape(shape), nearest.reshape(shape), uv.reshape(*shape, 2)
+
+
+def _passes_within(bound, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """True for the unit rays that come within the widened ``bound`` =
+    (center, radius) at a point ahead of their origin; ``origins`` is one
+    point shared by every ray or one point per ray."""
+    center, radius = bound
+    oc = center - origins
+    if oc.ndim == 1:
+        b, oo = dirs @ oc, oc @ oc
+    else:
+        b, oo = np.einsum("ij,ij->i", dirs, oc), np.einsum("ij,ij->i", oc, oc)
+    r = radius + 1e-6 * (radius + np.linalg.norm(center) + np.sqrt(oo))
+    r2 = r * r
+    # oo - b^2 is the squared distance from the center to the ray's line;
+    # from an origin outside the bound with b <= 0 the ray only moves away
+    return (oo - b * b <= r2) & ((b > 0) | (oo <= r2))
 
 
 def look_at(position, target, up=(0.0, 0.0, 1.0)) -> PoseSE3:
@@ -269,23 +327,17 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PoseSE3]:
 def render_view(scene: SceneSpec, cam: CameraIntrinsics, pose: PoseSE3,
                 index: int = 0) -> RenderedView:
     """Ray-cast one frame; depth is the Euclidean distance to the hit."""
-    xs, ys = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
-    pix = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(np.float64)
-    rays = cam.pixel_rays(pix)
-    dirs = rays / np.linalg.norm(rays, axis=-1, keepdims=True)
-    dirs = dirs @ pose.rotation.T
-    origins = np.broadcast_to(pose.translation, dirs.shape)
-
-    t, nearest, uvs = scene.intersect(origins, dirs)
+    dirs = cam.pixel_directions @ pose.rotation.T
+    t, nearest, uv = scene.intersect(pose.translation, dirs)
     valid = nearest >= 0
 
-    color = np.broadcast_to(_as_color(scene.background), (pix.shape[0], 3)).copy()
+    color = np.broadcast_to(_as_color(scene.background), dirs.shape).copy()
     for i, prim in enumerate(scene.primitives):
         mask = nearest == i
         if not mask.any():
             continue
-        uv = uvs[i][mask]
-        color[mask] = scene.textures[prim.texture].sample(uv[:, 0], uv[:, 1])
+        hit_uv = uv[mask]
+        color[mask] = scene.textures[prim.texture].sample(hit_uv[:, 0], hit_uv[:, 1])
 
     image = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
     image = image.reshape(cam.height, cam.width, 3)

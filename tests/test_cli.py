@@ -160,13 +160,21 @@ class TestSynth:
         res = runner.invoke(cli.main, ["synth", "-c", str(cfg)])
         assert res.exit_code == 1
 
-    @pytest.mark.parametrize("case", ["non-table primitive", "string seed", "float frames"])
+    @pytest.mark.parametrize("case", ["non-table primitive", "string seed", "float frames",
+                                      "bool radius", "infinite sphere radius"])
     def test_malformed_input_exits_1_without_traceback(self, tmp_path, case):
         out = tmp_path / "run"
         if case == "string seed":
             cfg = small_config_file(tmp_path, out, seed="x")
         elif case == "float frames":
             cfg = small_config_file(tmp_path, out, trajectory={"kind": "line", "frames": 4.5})
+        elif case == "bool radius":
+            cfg = small_config_file(tmp_path, out, trajectory={"radius": True, "frames": 3})
+        elif case == "infinite sphere radius":
+            cfg = small_config_file(tmp_path, out)
+            text = (tmp_path / "scene.json").read_text()
+            assert text.count('"radius": 0.25') == 1
+            (tmp_path / "scene.json").write_text(text.replace('"radius": 0.25', '"radius": 1e999'))
         else:
             cfg = small_config_file(tmp_path, out)
             scene = json.loads((tmp_path / "scene.json").read_text())

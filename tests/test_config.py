@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_type_hints
 
 import pytest
@@ -253,6 +253,16 @@ MALFORMED_SCENES = {
     "2-vector center": _edited(primitives=[
         {"kind": "sphere", "center": [0, 0], "radius": 1.0}]),
     "non-table root": [1, 2],
+    "infinite sphere radius": _edited(primitives=[
+        {"kind": "sphere", "center": [0, 0, 0], "radius": float("inf")}]),
+    "infinite box half size": _edited(primitives=[
+        {"kind": "box", "center": [0, 0, 0], "half_size": [1.0, float("inf"), 1.0]}]),
+    "infinite plane extent": _edited(primitives=[
+        {"kind": "plane", "origin": [0, 0, 0], "normal": [0, 0, 1], "half_u": 1.0,
+         "half_v": float("inf")}]),
+    "bool sphere radius": _edited(primitives=[
+        {"kind": "sphere", "center": [0, 0, 0], "radius": True}]),
+    "bool camera focal length": _camera_with(fx=True),
 }
 
 MALFORMED_CONFIGS = {
@@ -276,6 +286,46 @@ INT_FIELDS = {
 }
 INT_FIELD_CASES = [(section, name, bad) for section, names in INT_FIELDS.items()
                    for name in names for bad in (4.5, 4.0, True)]
+
+
+FLOAT_FIELDS = {
+    "trajectory": ("radius", "height", "jitter_deg"),
+    "reprojection": ("depth_eps",),
+    "adaptation": ("threshold",),
+    "loss": ("positive_margin", "negative_margin", "positive_weight"),
+    "eval": ("cell_eps_reprojection", "cell_eps_homography", "detect_threshold",
+             "match_ratio", "pixel_eps", "homography_threshold_px", "essential_threshold_px",
+             "translation_split"),
+}
+FLOAT_FIELD_CASES = [(section, name, bad) for section, names in FLOAT_FIELDS.items()
+                     for name in names for bad in (True, False)]
+
+
+class TestFloatFields:
+    def test_table_lists_every_float_field(self):
+        cfg = default_config()
+        sections = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+        assert set(FLOAT_FIELDS) <= set(sections)
+        for section in sections:
+            hints = get_type_hints(type(getattr(cfg, section)))
+            names = tuple(k for k, v in hints.items() if v in (float, float | None))
+            assert FLOAT_FIELDS.get(section, ()) == names, section
+
+    @pytest.mark.parametrize("section,name,bad", FLOAT_FIELD_CASES,
+                             ids=[f"{s}.{n}={b!r}" for s, n, b in FLOAT_FIELD_CASES])
+    def test_bool_rejected(self, section, name, bad):
+        with pytest.raises(ConfigError,
+                           match=rf"^invalid {section}: {name} must be a number, got ") as info:
+            config_from_dict({section: {name: bad}})
+        assert isinstance(info.value.__cause__, InvalidSpecError)
+
+    @pytest.mark.parametrize("section,name", [(s, n) for s, names in FLOAT_FIELDS.items()
+                                              for n in names])
+    def test_int_accepted(self, section, name):
+        # a valid int for every float field: negative_margin < positive_margin = 1
+        value = 0 if name == "negative_margin" else 1
+        cfg = config_from_dict({section: {name: value}})
+        assert getattr(getattr(cfg, section), name) == value
 
 
 class TestIntFields:

@@ -1,10 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from helpers import default_cam
-from reprojkit.config import scene_from_dict, scene_to_dict
+from reprojkit.config import load_scene, scene_from_dict, scene_to_dict
 from reprojkit.errors import ConfigError, EmptySceneError, InvalidSpecError
 from reprojkit.geometry import CameraIntrinsics, PoseSE3
 from reprojkit.scene import (
@@ -17,7 +19,7 @@ from reprojkit.scene import (
     look_at,
     render_view,
 )
-from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture
+from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture, _as_color
 
 CAM = default_cam(width=81, height=61, f=60.0)
 CHECKER = CheckerTexture(scale=0.1)
@@ -133,13 +135,15 @@ class TestRenderDepth:
         scene = simple_scene(Plane((0, 0, 2.0), (0, 0, -1.0), 5.0, 5.0),
                              Sphere((0.3, 0.1, 1.5), 0.4))
         o, d = oracle_rays(CAM, PoseSE3.identity())
-        t, idx, uvs = scene.intersect(o, d)
-        assert len(uvs) == 2
+        t, idx, uv = scene.intersect(o, d)
+        assert uv.shape == (len(d), 2)
+        assert set(np.unique(idx)) == {0, 1}
         for i, prim in enumerate(scene.primitives):
             t_i, uv_i = prim.intersect(o, d)
-            np.testing.assert_array_equal(uvs[i], uv_i)
+            np.testing.assert_array_equal(uv[idx == i], uv_i[idx == i])
             np.testing.assert_array_equal(t[idx == i], t_i[idx == i])
         assert np.all(np.isinf(t[idx == -1]))
+        assert np.all(np.isnan(uv[idx == -1]))
 
     def test_render_is_deterministic(self):
         scene = simple_scene(Plane((0, 0, 2.0), (0, 0, -1.0), 5.0, 5.0),
@@ -148,6 +152,236 @@ class TestRenderDepth:
         b = render_view(scene, CAM, PoseSE3.identity())
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.depth.values, b.depth.values)
+
+
+# The renderer before culling, kept as the oracle the culled one must match
+# bit for bit: every ray against every primitive, then the first argmin.
+
+def full_ray_intersect(scene, origins, dirs):
+    hits = [p.intersect(origins, dirs) for p in scene.primitives]
+    ts = np.stack([t for t, _ in hits], axis=0)
+    idx = np.argmin(ts, axis=0)
+    t = np.take_along_axis(ts, idx[None], axis=0)[0]
+    return t, np.where(np.isfinite(t), idx, -1), [uv for _, uv in hits]
+
+
+def full_ray_render(scene, cam, pose):
+    xs, ys = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    pix = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(np.float64)
+    rays = cam.pixel_rays(pix)
+    dirs = rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+    dirs = dirs @ pose.rotation.T
+    origins = np.broadcast_to(pose.translation, dirs.shape)
+    t, nearest, uvs = full_ray_intersect(scene, origins, dirs)
+    valid = nearest >= 0
+    color = np.broadcast_to(_as_color(scene.background), (pix.shape[0], 3)).copy()
+    for i, prim in enumerate(scene.primitives):
+        mask = nearest == i
+        if not mask.any():
+            continue
+        uv = uvs[i][mask]
+        color[mask] = scene.textures[prim.texture].sample(uv[:, 0], uv[:, 1])
+    image = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
+    return (image.reshape(cam.height, cam.width, 3),
+            np.where(valid, t, 0.0).reshape(cam.height, cam.width),
+            valid.reshape(cam.height, cam.width))
+
+
+def assert_renders_like_full_ray(scene, cam, pose):
+    view = render_view(scene, cam, pose)
+    image, depth, valid = full_ray_render(scene, cam, pose)
+    np.testing.assert_array_equal(view.image, image)
+    np.testing.assert_array_equal(view.depth.values, depth)
+    np.testing.assert_array_equal(view.depth.valid, valid)
+    return view
+
+
+def assert_intersects_like_full_ray(scene, origins, dirs):
+    """Per-ray origins and one shared origin both match the full-ray oracle."""
+    t0, idx0, uvs = full_ray_intersect(scene, np.broadcast_to(origins, dirs.shape), dirs)
+    for o in (origins, np.tile(origins, (len(dirs), 1))):
+        t, idx, uv = scene.intersect(o, dirs)
+        np.testing.assert_array_equal(t, t0)
+        np.testing.assert_array_equal(idx, idx0)
+        for i in range(len(scene.primitives)):
+            np.testing.assert_array_equal(uv[idx == i], uvs[i][idx0 == i])
+    return idx0
+
+
+GENERAL_SCENE, GENERAL_CAM = load_scene("builtin:general")
+PLANE_SCENE, PLANE_CAM = load_scene("builtin:plane")
+HIRES_CAM = CameraIntrinsics(fx=256.0, fy=256.0, cx=159.5, cy=119.5, width=320, height=240)
+SPHERE, _, BOX = GENERAL_SCENE.primitives[1:]
+
+
+def _poses(spec, picks):
+    poses = generate_trajectory(spec)
+    return [poses[k] for k in picks]
+
+
+class TestCulledRendererMatchesFullRay:
+    @pytest.mark.parametrize("k", range(4))
+    def test_general_orbit(self, k):
+        pose = _poses(TrajectorySpec(frames=200), (0, 37, 111, 163))[k]
+        assert_renders_like_full_ray(GENERAL_SCENE, GENERAL_CAM, pose)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_hires_line(self, k):
+        pose = _poses(TrajectorySpec(kind="line", frames=40), (0, 19, 39))[k]
+        assert_renders_like_full_ray(GENERAL_SCENE, HIRES_CAM, pose)
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_builtin_plane(self, k):
+        pose = _poses(TrajectorySpec(frames=80), (0, 41))[k]
+        assert_renders_like_full_ray(PLANE_SCENE, PLANE_CAM, pose)
+
+    def test_jittered_orbit(self):
+        spec = TrajectorySpec(kind="orbit-with-jitter", frames=200, jitter_deg=2.0, seed=1)
+        for pose in _poses(spec, (5, 150)):
+            assert_renders_like_full_ray(GENERAL_SCENE, GENERAL_CAM, pose)
+
+    @pytest.mark.parametrize("where", ["sphere center", "inside sphere near surface",
+                                       "box center", "inside box bound, outside box"])
+    def test_camera_inside_a_bound(self, where):
+        position = {"sphere center": SPHERE.center,
+                    "inside sphere near surface": (0.35, 0.0, 0.599),
+                    "box center": BOX.center,
+                    "inside box bound, outside box": (0.14, -0.5, 0.15)}[where]
+        assert_renders_like_full_ray(GENERAL_SCENE, GENERAL_CAM,
+                                     look_at(position, (1.0, 1.0, 0.1)))
+
+    def test_primitives_behind_the_camera(self):
+        # the spheres and the box are behind; only the ground is in view
+        view = assert_renders_like_full_ray(GENERAL_SCENE, GENERAL_CAM,
+                                            look_at((1.5, 0.0, 0.4), (4.0, 0.0, 0.0)))
+        assert view.depth.valid.any()
+
+    def test_all_miss_view(self):
+        scene = SceneSpec(GENERAL_SCENE.primitives[1:], GENERAL_SCENE.textures)
+        view = assert_renders_like_full_ray(scene, GENERAL_CAM,
+                                            look_at((2.0, 0.0, 0.3), (4.0, 0.5, 0.6)))
+        assert not view.depth.valid.any()
+
+    def test_non_square_camera(self):
+        cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
+        for pose in _poses(TrajectorySpec(frames=200), (0, 90)):
+            assert_renders_like_full_ray(GENERAL_SCENE, cam, pose)
+
+    def test_random_poses_near_and_inside_the_objects(self):
+        cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            position = rng.uniform([-0.8, -0.8, 0.05], [0.8, 0.8, 1.0])
+            target = rng.uniform([-1.0, -1.0, -0.5], [1.0, 1.0, 1.0])
+            forward = target - position
+            if abs(forward[2]) > 0.99 * np.linalg.norm(forward):
+                continue  # look_at needs a view direction away from up
+            assert_renders_like_full_ray(GENERAL_SCENE, cam, look_at(position, target))
+
+    def test_equal_t_keeps_the_lower_index(self):
+        twins = (Sphere((0, 0, 3.0), 1.0, texture=1), Sphere((0, 0, 3.0), 1.0, texture=0),
+                 Box((0, 0, 6.0), (0.5, 0.5, 0.5), texture=1),
+                 Box((0, 0, 6.0), (0.5, 0.5, 0.5), texture=0))
+        scene = SceneSpec(twins, (CHECKER, StripeTexture(0.05)))
+        view = assert_renders_like_full_ray(scene, CAM, PoseSE3.identity())
+        assert view.depth.valid.any()
+        o, d = oracle_rays(CAM, PoseSE3.identity())
+        _, idx, _ = scene.intersect(o, d)
+        assert set(np.unique(idx)) == {-1, 0}
+
+    @pytest.mark.parametrize("distance,step", [(3.0, 1e-16), (1e4, 1e-13)])
+    def test_tangent_rays(self, distance, step):
+        # rays whose line passes within rounding error of the sphere's
+        # surface; from far away that error is large enough that an
+        # unwidened bound culls rays the sphere's own test calls hits
+        scene = simple_scene(Sphere((0.0, 0.0, distance), 1.0))
+        theta = np.arcsin(1.0 / distance) + np.arange(-40, 41)[:, None] * step
+        phi = np.linspace(0.0, 2.0 * np.pi, 37)[None, :]
+        d = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta) * np.ones_like(phi)], axis=-1).reshape(-1, 3)
+        idx = assert_intersects_like_full_ray(scene, np.zeros(3), d)
+        assert 0 < (idx == 0).sum() < len(idx)
+
+    @pytest.mark.parametrize("kind", ["sphere", "box"])
+    def test_grazing_rays_at_any_scale(self, kind):
+        # origins and objects from 1 to 1e6 apart and off the world origin,
+        # rays aimed at the surface (a box's corners) with tiny offsets: an
+        # unwidened bound culls some rays that the primitive's test hits
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            origin = rng.normal(size=3) * 10 ** rng.uniform(0, 3)
+            axis = rng.normal(size=3)
+            distance, radius = 10 ** rng.uniform(0, 6), 10 ** rng.uniform(-2, 0.5)
+            center = origin + axis / np.linalg.norm(axis) * max(distance, 2 * radius)
+            aim = rng.normal(size=(500, 3))
+            if kind == "sphere":
+                prim = Sphere(tuple(center), radius)
+                aim = center + radius * aim / np.linalg.norm(aim, axis=-1, keepdims=True)
+            else:
+                prim = Box(tuple(center), tuple(rng.uniform(0.2, 1.0, 3) * radius))
+                aim = center + np.sign(aim) * np.asarray(prim.half_size)
+            aim += rng.normal(size=aim.shape) * 10 ** rng.uniform(-16, -10) * np.abs(aim).max()
+            d = aim - origin
+            d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            assert_intersects_like_full_ray(simple_scene(prim), origin, d)
+
+    def test_rays_through_box_corners(self):
+        box = Box((0.2, -0.1, 3.0), (0.5, 0.4, 0.3))
+        scene = simple_scene(box)
+        origin = np.array([0.1, -0.2, 0.0])
+        signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+        corners = np.asarray(box.center) + signs * np.asarray(box.half_size)
+        rng = np.random.default_rng(0)
+        aims = (corners[:, None, :] + rng.normal(scale=1e-15, size=(8, 200, 3))).reshape(-1, 3)
+        d = aims - origin
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        idx = assert_intersects_like_full_ray(scene, origin, d)
+        assert 0 < (idx == 0).sum() < len(idx)
+
+
+class TestCulling:
+    def test_default_orbit_frame_0_casts_few_rays_at_spheres_and_boxes(self, monkeypatch):
+        rays = []
+        for cls in (Sphere, Box):
+            def counting(self, origins, dirs, real=cls.intersect):
+                rays.append(len(dirs))
+                return real(self, origins, dirs)
+            monkeypatch.setattr(cls, "intersect", counting)
+        pose = generate_trajectory(TrajectorySpec(frames=200))[0]
+        render_view(GENERAL_SCENE, GENERAL_CAM, pose)
+        n = GENERAL_CAM.width * GENERAL_CAM.height
+        assert len(rays) == 3
+        assert all(0 < k < 0.1 * n for k in rays), rays
+
+    def test_pixel_directions_are_computed_once_per_camera(self, monkeypatch):
+        cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
+        calls = []
+        real = CameraIntrinsics.pixel_rays
+        monkeypatch.setattr(CameraIntrinsics, "pixel_rays",
+                            lambda self, p: calls.append(1) or real(self, p))
+        for pose in _poses(TrajectorySpec(frames=200), (0, 1, 2)):
+            render_view(GENERAL_SCENE, cam, pose)
+        assert len(calls) == 1
+        dirs = cam.pixel_directions
+        assert dirs.shape == (41 * 61, 3) and not dirs.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-15)
+
+    def test_pixel_directions_under_concurrent_first_use(self):
+        # synth renders in a thread pool, so several threads may fill the
+        # cache at once; each must get the same read-only directions
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda _: cam.pixel_directions, range(32), timeout=60))
+                for dirs in got:
+                    assert not dirs.flags.writeable
+                    np.testing.assert_array_equal(dirs, got[0])
+                assert cam.pixel_directions is cam.pixel_directions
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTextures:
@@ -233,6 +467,17 @@ class TestTrajectories:
 
 
 class TestSceneSpec:
+    @pytest.mark.parametrize("make", [
+        lambda x: Sphere((0, 0, 2), x),
+        lambda x: Box((0, 0, 2), (0.5, x, 0.5)),
+        lambda x: Plane((0, 0, 0), (0, 0, 1), x, 1.0),
+        lambda x: Plane((0, 0, 0), (0, 0, 1), 1.0, x),
+    ], ids=["sphere radius", "box half size", "plane half_u", "plane half_v"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0])
+    def test_non_finite_or_non_positive_sizes_rejected(self, make, bad):
+        with pytest.raises(InvalidSpecError):
+            make(bad)
+
     def test_requires_primitives_and_valid_texture_ids(self):
         with pytest.raises(EmptySceneError):
             SceneSpec((), (CHECKER,))
