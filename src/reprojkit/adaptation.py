@@ -26,6 +26,7 @@ from .geometry import (
     DepthMap,
     RenderedView,
     ReprojectionParams,
+    _window_extreme,
     reproject_points,
     robust_depth_map,
 )
@@ -40,6 +41,12 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float) -> np.ndarray:
     order (ties broken row-major); each kept point suppresses its
     (2*radius+1)^2 neighborhood. Output keeps the visit order, so scores
     are descending.
+
+    Most of the greedy pass is decided by two window filters. A candidate
+    that comes first in its own window has no earlier candidate that could
+    suppress it, so it is kept; every other candidate in that window comes
+    later, so it is suppressed. Only the candidates neither rule decides
+    are visited one at a time, and the result is the full greedy pass's.
     """
     heatmap = np.asarray(heatmap, dtype=np.float64)
     if heatmap.ndim != 2:
@@ -49,19 +56,28 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float) -> np.ndarray:
     ys, xs = np.nonzero(heatmap >= threshold)
     if len(ys) == 0:
         return np.zeros((0, 2), dtype=int)
-    scores = heatmap[ys, xs]
-    order = np.lexsort((xs, ys, -scores))
-    h, w = heatmap.shape
-    suppressed = np.zeros((h, w), dtype=bool)
-    kept = []
-    for i in order:
-        y, x = int(ys[i]), int(xs[i])
+    # nonzero lists candidates row-major, so a stable sort on the score
+    # alone breaks ties row-major: ys[i], xs[i] is the i-th visited
+    order = np.argsort(-heatmap[ys, xs], kind="stable")
+    ys, xs = ys[order], xs[order]
+    n, size = len(ys), 2 * radius + 1
+    # visit rank per pixel, n where there is no candidate; int32 halves the
+    # filter's memory traffic wherever the ranks fit
+    rank = np.full(heatmap.shape, n, dtype=np.int32 if n < 2**31 else np.intp)
+    rank[ys, xs] = np.arange(n)
+    kept = _window_extreme(rank, size, np.minimum)[ys, xs] == rank[ys, xs]
+    covered = np.zeros(heatmap.shape, dtype=bool)
+    covered[ys[kept], xs[kept]] = True
+    covered = _window_extreme(covered, size, np.maximum)
+    rest = np.flatnonzero(~covered[ys, xs])
+    suppressed = np.zeros(heatmap.shape, dtype=bool)
+    for i, y, x in zip(rest.tolist(), ys[rest].tolist(), xs[rest].tolist()):
         if suppressed[y, x]:
             continue
-        kept.append((x, y))
+        kept[i] = True
         suppressed[max(0, y - radius):y + radius + 1,
                    max(0, x - radius):x + radius + 1] = True
-    return np.array(kept, dtype=int)
+    return np.column_stack([xs[kept], ys[kept]])
 
 
 @dataclass(frozen=True)
@@ -137,22 +153,13 @@ def _stamp_patches(mask: np.ndarray, src: np.ndarray, src_xy: np.ndarray,
     Both neighborhoods are clipped at their image borders; overlapping
     stamps combine by per-pixel maximum so stamp order cannot matter.
     """
-    sx, sy = src_xy[:, 0], src_xy[:, 1]
-    dx, dy = dst_xy[:, 0], dst_xy[:, 1]
-    offsets = range(-radius, radius + 1)
-
-    def inside(s, d, axis, o):
-        """Whether offset ``o`` along ``axis`` stays inside both images."""
-        return ((s + o >= 0) & (s + o < src.shape[axis])
-                & (d + o >= 0) & (d + o < mask.shape[axis]))
-
-    in_x = [inside(sx, dx, 1, o) for o in offsets]
-    for oy in offsets:
-        in_y = inside(sy, dy, 0, oy)
-        for ox, kx in zip(offsets, in_x):
-            keep = in_y & kx
-            np.maximum.at(mask, (dy[keep] + oy, dx[keep] + ox),
-                          src[sy[keep] + oy, sx[keep] + ox])
+    oy, ox = np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
+    # one row per point, one column per offset
+    sy, sx = src_xy[:, 1:] + oy, src_xy[:, :1] + ox
+    dy, dx = dst_xy[:, 1:] + oy, dst_xy[:, :1] + ox
+    keep = ((sy >= 0) & (sy < src.shape[0]) & (sx >= 0) & (sx < src.shape[1])
+            & (dy >= 0) & (dy < mask.shape[0]) & (dx >= 0) & (dx < mask.shape[1]))
+    np.maximum.at(mask, (dy[keep], dx[keep]), src[sy[keep], sx[keep]])
 
 
 def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,

@@ -36,7 +36,12 @@ from .correspondence import (
     write_cell_correspondence,
 )
 from .dataset import read_dataset, write_dataset
-from .errors import ConfigError, EstimationFailedError, ReprojkitError
+from .errors import (
+    ConfigError,
+    DegenerateConfigurationError,
+    EstimationFailedError,
+    ReprojkitError,
+)
 from .evaluation import (
     HomographyMap,
     PosePairRecord,
@@ -331,7 +336,7 @@ def _eval_register(cfg: RunConfig, data, drawn, threads) -> dict:
         try:
             res = register_pair(v1, v2, ratio=ev.match_ratio, dim=ev.descriptor_dim)
             return res.rotation_error_deg, res.translation_error_cm, res.chamfer_cm
-        except (EstimationFailedError, ReprojkitError):
+        except (EstimationFailedError, DegenerateConfigurationError):
             return None
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

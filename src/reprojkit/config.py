@@ -54,6 +54,13 @@ class EvalParams:
                 raise InvalidSpecError(f"{name} must be positive")
         if self.detect_k < 1 or self.ransac_iterations < 1:
             raise InvalidSpecError("detect_k and ransac_iterations must be positive")
+        if self.nms_radius < 1:
+            raise InvalidSpecError(f"nms_radius must be >= 1, got {self.nms_radius}")
+        if self.descriptor_dim < 2:
+            raise InvalidSpecError(f"descriptor_dim must be >= 2, got {self.descriptor_dim}")
+        if not 0.0 <= self.detect_threshold <= 1.0:
+            raise InvalidSpecError(
+                f"detect_threshold must be in [0, 1], got {self.detect_threshold}")
         if not 1 <= self.pair_min_offset <= self.pair_max_offset:
             raise InvalidSpecError("need 1 <= pair_min_offset <= pair_max_offset")
         if not 0.0 < self.match_ratio <= 1.0:

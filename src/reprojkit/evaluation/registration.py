@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import DegenerateConfigurationError, EstimationFailedError, ShapeError
 from ..frontend import describe, match_mnn
@@ -50,6 +49,9 @@ def kabsch_weighted(P: np.ndarray, Q: np.ndarray, weights=None):
 
 def chamfer_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds."""
+    # imported here so that only `eval --task register` loads scipy
+    from scipy.spatial import cKDTree
+
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if len(A) == 0 or len(B) == 0:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import correlate1d, sobel
 
 from .adaptation import nms
 from .errors import ImageTooSmallError, InvalidSpecError, ShapeError
@@ -28,7 +27,11 @@ def to_gray(image: np.ndarray) -> np.ndarray:
     """Float grayscale in [0, 1] from RGB or single-channel input."""
     image = np.asarray(image)
     if image.ndim == 3 and image.shape[2] == 3:
-        gray = image.astype(np.float64).mean(axis=2)
+        # (r + g) + b, then / 3: the channel mean's own summation order,
+        # without its slow reduction over a length-3 axis
+        gray = np.add(image[..., 0], image[..., 1], dtype=np.float64)
+        gray += image[..., 2]
+        gray /= 3.0
     elif image.ndim == 2:
         gray = image.astype(np.float64)
     else:
@@ -36,6 +39,30 @@ def to_gray(image: np.ndarray) -> np.ndarray:
     if image.dtype == np.uint8:
         gray /= 255.0
     return gray
+
+
+def _correlate3(a: np.ndarray, axis: int, center: float, side: float,
+                odd: bool = False) -> np.ndarray:
+    """Correlate 2-D float ``a`` along ``axis`` with the taps
+    ``(side, center, side)``, or ``(-side, center, side)`` when ``odd``.
+
+    Edges reflect about the half sample (``d c b a | a b c d``). Each
+    output is ``c * center + (l + r) * side``, or ``c * center + (l - r)
+    * -side``, with ``l``, ``c``, ``r`` the left, center and right input:
+    the arithmetic of ``scipy.ndimage.correlate1d`` for symmetric and
+    antisymmetric kernels, so the result is the same to the bit, signed
+    zeros included. ``sobel`` is the odd ``(0, 1)`` pass along its axis,
+    then ``(2, 1)`` along the other.
+    """
+    a = np.swapaxes(a, 0, axis)
+    pair = np.empty_like(a)  # l + r, or l - r when odd
+    combine = np.subtract if odd else np.add
+    combine(a[:-2], a[2:], out=pair[1:-1])
+    combine(a[0], a[1], out=pair[0])
+    combine(a[-2], a[-1], out=pair[-1])
+    pair *= -side if odd else side
+    pair += a * center
+    return np.swapaxes(pair, 0, axis)
 
 
 def detect(image: np.ndarray) -> np.ndarray:
@@ -47,13 +74,11 @@ def detect(image: np.ndarray) -> np.ndarray:
     gray = to_gray(image)
     if gray.shape[0] < 7 or gray.shape[1] < 7:
         raise ImageTooSmallError(f"image {gray.shape} too small for detection (needs 7x7)")
-    gx = sobel(gray, axis=1, mode="reflect")
-    gy = sobel(gray, axis=0, mode="reflect")
-    kernel = np.array([1.0, 2.0, 1.0]) / 4.0
+    gx = _correlate3(_correlate3(gray, 1, 0.0, 1.0, odd=True), 0, 2.0, 1.0)
+    gy = _correlate3(_correlate3(gray, 0, 0.0, 1.0, odd=True), 1, 2.0, 1.0)
 
     def smooth(a):
-        return correlate1d(correlate1d(a, kernel, axis=0, mode="reflect"),
-                           kernel, axis=1, mode="reflect")
+        return _correlate3(_correlate3(a, 0, 0.5, 0.25), 1, 0.5, 0.25)
 
     jxx, jyy, jxy = smooth(gx * gx), smooth(gy * gy), smooth(gx * gy)
     half_trace = (jxx + jyy) / 2.0

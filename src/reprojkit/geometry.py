@@ -19,7 +19,6 @@ from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import maximum_filter, minimum_filter
 
 from .errors import BehindCameraError, InvalidDepthError, ShapeError
 
@@ -313,6 +312,31 @@ def robust_depth(p: np.ndarray, depth: DepthMap, params: ReprojectionParams) -> 
     return vmin
 
 
+def _window_extreme(a: np.ndarray, size: int, op) -> np.ndarray:
+    """Running minimum or maximum (``op`` is ``np.minimum`` or
+    ``np.maximum``) of 2-D ``a`` over the ``size x size`` window.
+
+    The window of pixel ``i`` along an axis spans ``i - size // 2`` to
+    ``i - size // 2 + size - 1``, so even sizes reach one further back
+    than forward. Cells outside the image are skipped, which is what
+    ``scipy.ndimage`` gives with ``mode="constant"`` and the op's identity
+    (``cval=inf`` for minima, ``-inf`` for maxima), bit for bit on input
+    without NaN. One pass per axis makes ``size - 1`` shifted ``op`` calls.
+    """
+    lo = size // 2
+    for axis in (0, 1):
+        src = np.swapaxes(a, 0, axis)
+        out = src.copy(order="K")
+        n = len(src)
+        for o in range(-lo, size - lo):
+            if o == 0 or abs(o) >= n:  # a shift past the far edge would wrap the slice
+                continue
+            dst = out[max(0, -o):n - max(0, o)]
+            op(dst, src[max(0, o):n - max(0, -o)], out=dst)
+        a = np.swapaxes(out, 0, axis)
+    return a
+
+
 def robust_depth_map(depth: DepthMap, params: ReprojectionParams) -> DepthMap:
     """Vectorized ``robust_depth`` over every pixel of a depth map.
 
@@ -320,10 +344,8 @@ def robust_depth_map(depth: DepthMap, params: ReprojectionParams) -> DepthMap:
     of raising.
     """
     vals = depth.values
-    vmin = minimum_filter(np.where(depth.valid, vals, np.inf),
-                          size=params.window, mode="constant", cval=np.inf)
-    vmax = maximum_filter(np.where(depth.valid, vals, -np.inf),
-                          size=params.window, mode="constant", cval=-np.inf)
+    vmin = _window_extreme(np.where(depth.valid, vals, np.inf), params.window, np.minimum)
+    vmax = _window_extreme(np.where(depth.valid, vals, -np.inf), params.window, np.maximum)
     any_valid = np.isfinite(vmin)
     uniform = depth.valid & (vmax - vmin <= params.depth_eps)
     out = np.where(uniform, vals, vmin)

@@ -30,8 +30,9 @@ class DescriptorLossParams:
             raise InvalidSpecError(
                 f"need 0 <= negative_margin < positive_margin <= 1, got "
                 f"{self.negative_margin}, {self.positive_margin}")
-        if not self.positive_weight > 0:
-            raise InvalidSpecError(f"positive_weight must be > 0, got {self.positive_weight}")
+        if not 0 < self.positive_weight < np.inf:
+            raise InvalidSpecError(
+                f"positive_weight must be finite and > 0, got {self.positive_weight}")
 
 
 def _dense_indicator(S, src_shape, dst_shape) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import EmptySceneError, InvalidSpecError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
@@ -291,9 +290,17 @@ class TrajectorySpec:
             raise InvalidSpecError("trajectory radius must be positive")
         if self.jitter_deg < 0:
             raise InvalidSpecError("jitter bound must be nonnegative")
+        _vec3(self.center, "trajectory center")
+        for name in ("radius", "height", "jitter_deg"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"trajectory {name} must be finite, "
+                                       f"got {getattr(self, name)!r}")
 
 
 def _jitter_rotation(rng: np.random.Generator, max_deg: float) -> np.ndarray:
+    # imported here so that only jittered trajectories load scipy
+    from scipy.spatial.transform import Rotation
+
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = np.radians(rng.uniform(0.0, max_deg))

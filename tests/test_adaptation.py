@@ -41,6 +41,100 @@ def brute_force_nms(heatmap, radius, threshold):
     return np.array(kept, dtype=int) if kept else np.zeros((0, 2), dtype=int)
 
 
+def greedy_nms(heatmap, radius, threshold):
+    """Oracle: the one-candidate-at-a-time greedy pass that ``nms`` replaces."""
+    heatmap = np.asarray(heatmap, dtype=np.float64)
+    ys, xs = np.nonzero(heatmap >= threshold)
+    if len(ys) == 0:
+        return np.zeros((0, 2), dtype=int)
+    scores = heatmap[ys, xs]
+    order = np.lexsort((xs, ys, -scores))
+    suppressed = np.zeros(heatmap.shape, dtype=bool)
+    kept = []
+    for i in order:
+        y, x = int(ys[i]), int(xs[i])
+        if suppressed[y, x]:
+            continue
+        kept.append((x, y))
+        suppressed[max(0, y - radius):y + radius + 1,
+                   max(0, x - radius):x + radius + 1] = True
+    return np.array(kept, dtype=int)
+
+
+def assert_same_points(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestNmsMatchesGreedy:
+    """``nms`` returns exactly what the greedy pass returns, in its order."""
+
+    @pytest.mark.parametrize("radius", [1, 2, 4, 7])
+    def test_random_maps(self, radius):
+        rng = np.random.default_rng(radius)
+        for shape in [(1, 1), (1, 9), (9, 1), (5, 6), (32, 32), (61, 47)]:
+            for threshold in (0.0, 0.015, 0.5, 1.0):
+                heat = rng.random(shape)
+                heat[rng.random(shape) < 0.3] = 0.0
+                assert_same_points(nms(heat, radius, threshold),
+                                   greedy_nms(heat, radius, threshold))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 8])
+    def test_plateaus(self, levels):
+        # few distinct scores: long runs of ties, broken row-major
+        rng = np.random.default_rng(levels)
+        for shape in [(7, 7), (20, 33), (48, 40)]:
+            heat = rng.integers(0, levels + 1, shape) / levels
+            for radius in (1, 2, 3, 5):
+                for threshold in (0.0, 1.0):
+                    assert_same_points(nms(heat, radius, threshold),
+                                       greedy_nms(heat, radius, threshold))
+            blocks = np.kron(rng.integers(0, 3, (6, 6)), np.ones((4, 5))) / 2.0
+            assert_same_points(nms(blocks, 2, 0.0), greedy_nms(blocks, 2, 0.0))
+
+    def test_radius_larger_than_map(self):
+        rng = np.random.default_rng(5)
+        for shape in [(3, 4), (10, 10), (4, 25)]:
+            heat = rng.random(shape)
+            for radius in (10, 30):
+                got = nms(heat, radius, 0.0)
+                assert_same_points(got, greedy_nms(heat, radius, 0.0))
+                assert len(got) == 1 or radius < max(shape)
+
+    def test_no_candidates(self):
+        for heat, threshold in [(np.zeros((8, 8)), 0.1), (np.full((5, 9), 0.99), 1.0),
+                                (np.full((4, 4), np.nan), 0.0), (np.zeros((0, 5)), 0.0)]:
+            assert_same_points(nms(heat, 2, threshold), greedy_nms(heat, 2, threshold))
+
+    def test_threshold_one_keeps_exact_peaks(self):
+        heat = np.zeros((12, 12))
+        heat[[2, 2, 9], [3, 5, 9]] = 1.0
+        assert_same_points(nms(heat, 2, 1.0), greedy_nms(heat, 2, 1.0))
+        np.testing.assert_array_equal(nms(heat, 2, 1.0), [[3, 2], [9, 9]])
+
+    def test_detector_heatmaps_and_label_maps(self, monkeypatch):
+        from reprojkit.config import load_scene
+        from reprojkit.frontend import detect
+        from reprojkit.scene import TrajectorySpec, generate_trajectory, render_view
+
+        spec, cam = load_scene("builtin:general")
+        poses = generate_trajectory(TrajectorySpec(frames=8))
+        views = [render_view(spec, cam, pose, i) for i, pose in enumerate(poses)]
+        for view in views:
+            heat = detect(view.image)
+            for radius, threshold in ((4, 0.015), (1, 0.0), (2, 0.3)):
+                assert_same_points(nms(heat, radius, threshold),
+                                   greedy_nms(heat, radius, threshold))
+        params = AdaptationParams(window_len=4, n_sampled=3, threshold=0.015)
+        got = generate_pseudo_labels(views, detect, params, ReprojectionParams())
+        monkeypatch.setattr(adaptation, "nms", greedy_nms)
+        want = generate_pseudo_labels(views, detect, params, ReprojectionParams())
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert len(g.points) > 10
+            assert_same_points(g.points, w.points)
+
+
 class TestNms:
     def test_single_spike(self):
         heat = np.zeros((20, 30))

@@ -161,10 +161,18 @@ class TestSynth:
         assert res.exit_code == 1
 
     @pytest.mark.parametrize("case", ["non-table primitive", "string seed", "float frames",
-                                      "bool radius", "infinite sphere radius"])
+                                      "bool radius", "infinite sphere radius",
+                                      "short trajectory center", "infinite trajectory radius",
+                                      "infinite trajectory height"])
     def test_malformed_input_exits_1_without_traceback(self, tmp_path, case):
         out = tmp_path / "run"
-        if case == "string seed":
+        if case == "short trajectory center":
+            cfg = small_config_file(tmp_path, out, trajectory={"center": [0, 0], "frames": 3})
+        elif case == "infinite trajectory radius":
+            cfg = small_config_file(tmp_path, out, trajectory={"radius": 1e999, "frames": 3})
+        elif case == "infinite trajectory height":
+            cfg = small_config_file(tmp_path, out, trajectory={"height": 1e999, "frames": 3})
+        elif case == "string seed":
             cfg = small_config_file(tmp_path, out, seed="x")
         elif case == "float frames":
             cfg = small_config_file(tmp_path, out, trajectory={"kind": "line", "frames": 4.5})
@@ -344,6 +352,40 @@ class TestEval:
             assert "mean" in r[family] and "median" in r[family]
             assert any(k.startswith("acc@") for k in r[family])
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        (["eval", "--task", "register"], "eval", "descriptor_dim", 0),
+        (["eval", "--task", "pose"], "eval", "nms_radius", 0),
+        (["eval", "--task", "pose"], "eval", "detect_threshold", float("nan")),
+        (["losscheck"], "loss", "positive_weight", float("inf")),
+    ])
+    def test_bad_knob_exits_1_at_load(self, runner, tmp_path, command, section, key, value):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        data = json.loads(cfg.read_text())
+        data.setdefault(section, {})[key] = value
+        cfg.write_text(json.dumps(data))  # NaN and Infinity, as Python's json writes them
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-m", "reprojkit.cli", *command, "-c", str(cfg)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert res.stderr.startswith(f"config error: invalid {section}: {key} ")
+        assert "Traceback" not in res.stderr
+
+    def test_register_spec_error_is_not_a_failed_pair(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+
+        def bad_spec(*args, **kwargs):
+            raise InvalidSpecError("descriptor dim must be >= 2, got 0")
+
+        monkeypatch.setattr(cli, "register_pair", bad_spec)
+        res = self.run_eval(runner, cfg, "register")
+        assert res.exit_code == 2
+        assert "data error: descriptor dim must be >= 2" in res.output
+        assert read_report(out)["command"] == "synth"
+
     def test_reports_identical_across_threads(self, runner, tmp_path):
         out = tmp_path / "run"
         cfg = small_config_file(tmp_path, out)
@@ -438,6 +480,39 @@ class TestLosscheck:
                                        "--instances", "1"])
         assert res.exit_code == 3
         assert read_report(out)["results"]["passed"] is False
+
+
+# runs one CLI command in a fresh interpreter, then prints the scipy
+# modules that command loaded as the last line of stderr
+_LOADED_SCIPY = """\
+import json, sys
+from reprojkit import cli
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")),
+          file=sys.stderr)
+"""
+
+
+def _scipy_modules_loaded(args):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *args],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    return json.loads(res.stderr.strip().splitlines()[-1])
+
+
+def test_stages_run_without_scipy(tmp_path):
+    """Only `eval --task register` needs scipy, and only `scipy.spatial`."""
+    out = tmp_path / "run"
+    cfg = str(small_config_file(tmp_path, out, plane_only=True))
+    for command in (["synth"], ["pairs"], ["labels"], ["eval", "--task", "pose"],
+                    ["eval", "--task", "homography"], ["losscheck", "--instances", "2"]):
+        assert _scipy_modules_loaded([*command, "-c", cfg]) == [], command
+    loaded = _scipy_modules_loaded(["eval", "--task", "register", "-c", cfg])
+    assert "scipy.spatial" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.ndimage")]
 
 
 def test_builtin_scene_configs_pass_validation():

@@ -94,6 +94,21 @@ class TestValidation:
         with pytest.raises(InvalidSpecError):
             EvalParams(pair_min_offset=5, pair_max_offset=2)
 
+    @pytest.mark.parametrize("kw", [
+        {"nms_radius": 0}, {"nms_radius": -3}, {"descriptor_dim": 1}, {"descriptor_dim": 0},
+        {"detect_threshold": -0.1}, {"detect_threshold": 1.5},
+        {"detect_threshold": float("nan")}, {"detect_threshold": float("inf")},
+    ])
+    def test_frontend_knobs_checked_at_load(self, kw):
+        with pytest.raises(InvalidSpecError):
+            EvalParams(**kw)
+        with pytest.raises(ConfigError, match=f"invalid eval: {next(iter(kw))} "):
+            config_from_dict({"eval": kw})
+
+    def test_frontend_knob_edges_accepted(self):
+        EvalParams(nms_radius=1, descriptor_dim=2, detect_threshold=0.0)
+        EvalParams(detect_threshold=1.0)
+
 
 class TestFiles:
     def test_save_load(self, tmp_path):

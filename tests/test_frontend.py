@@ -58,6 +58,98 @@ class TestDetect:
             detect(np.zeros((5, 5, 2)))
 
 
+def scipy_to_gray(image):
+    """The channel mean as ``np.mean`` computes it."""
+    image = np.asarray(image)
+    gray = image.astype(np.float64).mean(axis=2) if image.ndim == 3 else \
+        image.astype(np.float64)
+    if image.dtype == np.uint8:
+        gray /= 255.0
+    return gray
+
+
+def scipy_detect(image):
+    """Oracle: ``detect`` built on ``scipy.ndimage``'s Sobel and 1-D correlation."""
+    from scipy.ndimage import correlate1d, sobel
+
+    gray = scipy_to_gray(image)
+    gx = sobel(gray, axis=1, mode="reflect")
+    gy = sobel(gray, axis=0, mode="reflect")
+    kernel = np.array([1.0, 2.0, 1.0]) / 4.0
+
+    def smooth(a):
+        return correlate1d(correlate1d(a, kernel, axis=0, mode="reflect"),
+                           kernel, axis=1, mode="reflect")
+
+    jxx, jyy, jxy = smooth(gx * gx), smooth(gy * gy), smooth(gx * gy)
+    half_trace = (jxx + jyy) / 2.0
+    root = np.sqrt(((jxx - jyy) / 2.0) ** 2 + jxy * jxy)
+    lam = np.maximum(half_trace - root, 0.0)
+    peak = lam.max()
+    return lam / peak if peak > 0 else lam
+
+
+def _images(rng, h, w):
+    signed = rng.random((h, w)) - 0.5
+    signed[rng.random((h, w)) < 0.2] = -0.0
+    return {
+        "random gray": rng.random((h, w)),
+        "random rgb": rng.random((h, w, 3)),
+        "uint8 rgb": rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
+        "uint8 gray": rng.integers(0, 256, (h, w), dtype=np.uint8),
+        "constant": np.full((h, w), 0.7),
+        "constant uint8 rgb": np.full((h, w, 3), 200, dtype=np.uint8),
+        "signed with -0": signed,
+        "wide range": rng.random((h, w, 3)) * 10.0 ** rng.uniform(-6, 6, (h, w, 3)),
+        "float32 rgb": rng.random((h, w, 3)).astype(np.float32),
+    }
+
+
+class TestDetectMatchesScipy:
+    """``detect`` and its kernels equal the ``scipy.ndimage`` version bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 12), (12, 7), (9, 31), (40, 33),
+                                       (160, 160), (240, 320)])
+    def test_detect(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for name, img in _images(rng, *shape).items():
+            got, want = detect(img), scipy_detect(img)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_rendered_frames(self):
+        cam = default_cam()
+        scene = SceneSpec((Plane((0, 0, 0.0), (0, 0, 1.0), 4.0, 4.0),), (CheckerTexture(0.2),))
+        for z in (1.5, 2.5):
+            view = render_view(scene, cam, PoseSE3(np.diag([1.0, -1.0, -1.0]), [0.1, 0.0, z]))
+            assert detect(view.image).tobytes() == scipy_detect(view.image).tobytes()
+
+    def test_to_gray(self):
+        rng = np.random.default_rng(4)
+        for name, img in _images(rng, 23, 17).items():
+            assert frontend.to_gray(img).tobytes() == scipy_to_gray(img).tobytes(), name
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("center, side, odd", [(0.0, 1.0, True), (2.0, 1.0, False),
+                                                   (0.5, 0.25, False), (-1.5, 0.3, True)])
+    def test_correlate3(self, axis, center, side, odd):
+        from scipy.ndimage import correlate1d
+
+        rng = np.random.default_rng(11)
+        weights = [-side if odd else side, center, side]
+        for shape in [(2, 2), (2, 9), (9, 2), (3, 3), (17, 23)]:
+            a = rng.random(shape) * 4.0 - 2.0
+            a[rng.random(shape) < 0.1] = np.inf
+            a[rng.random(shape) < 0.1] = -0.0
+            with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
+                got = frontend._correlate3(a, axis, center, side, odd=odd)
+            want = correlate1d(a, weights, axis=axis, mode="reflect")
+            np.testing.assert_array_equal(got, want)
+            # zeros keep their sign too (NaN signs are not compared)
+            number = ~np.isnan(want)
+            np.testing.assert_array_equal(np.signbit(got)[number], np.signbit(want)[number])
+
+
 class TestTopK:
     def test_k_one_returns_higher_spike(self):
         heat = np.zeros((30, 30))

@@ -12,6 +12,7 @@ from reprojkit.geometry import (
     RejectReason,
     RenderedView,
     ReprojectionParams,
+    _window_extreme,
     apply_homography,
     backproject,
     project,
@@ -83,6 +84,71 @@ class TestProject:
         pose = random_pose(np.random.default_rng(seed))
         pix, _ = project(backproject(np.array([x, y]), d, CAM, pose), CAM, pose)
         np.testing.assert_allclose(pix, [x, y], atol=1e-6)
+
+
+def scipy_robust_depth_map(depth, params):
+    """Oracle: ``robust_depth_map`` on ``scipy.ndimage``'s window filters."""
+    from scipy.ndimage import maximum_filter, minimum_filter
+
+    vals = depth.values
+    vmin = minimum_filter(np.where(depth.valid, vals, np.inf),
+                          size=params.window, mode="constant", cval=np.inf)
+    vmax = maximum_filter(np.where(depth.valid, vals, -np.inf),
+                          size=params.window, mode="constant", cval=-np.inf)
+    any_valid = np.isfinite(vmin)
+    uniform = depth.valid & (vmax - vmin <= params.depth_eps)
+    out = np.where(uniform, vals, vmin)
+    out = np.where(any_valid, out, 0.0)
+    return DepthMap(out, any_valid)
+
+
+class TestWindowExtreme:
+    """The numpy min/max window kernel equals ``scipy.ndimage`` exactly."""
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_matches_scipy_filters(self, size):
+        from scipy.ndimage import maximum_filter, minimum_filter
+
+        rng = np.random.default_rng(size)
+        shapes = [(1, 1), (1, 7), (6, 1), (2, 3), (size, size), (size + 1, size - 1 or 1),
+                  (13, 17), (40, 33)]
+        for shape in shapes:
+            a = rng.uniform(-5.0, 5.0, shape)
+            a[rng.random(shape) < 0.2] = np.inf
+            a[rng.random(shape) < 0.2] = -np.inf
+            for op, scipy_filter, cval in ((np.minimum, minimum_filter, np.inf),
+                                           (np.maximum, maximum_filter, -np.inf)):
+                got = _window_extreme(a, size, op)
+                want = scipy_filter(a, size=size, mode="constant", cval=cval)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+            ranks = rng.permutation(a.size).reshape(shape).astype(np.int32)
+            np.testing.assert_array_equal(
+                _window_extreme(ranks, size, np.minimum),
+                minimum_filter(ranks, size=size, mode="constant", cval=np.iinfo(np.int32).max))
+            flags = rng.random(shape) < 0.1
+            np.testing.assert_array_equal(_window_extreme(flags, size, np.maximum),
+                                          maximum_filter(flags, size=size, mode="constant"))
+
+    def test_input_untouched(self):
+        a = np.arange(20.0).reshape(4, 5)
+        _window_extreme(a, 3, np.minimum)
+        np.testing.assert_array_equal(a, np.arange(20.0).reshape(4, 5))
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 9])
+    def test_robust_depth_map_matches_scipy_version(self, window):
+        rng = np.random.default_rng(window)
+        params = ReprojectionParams(depth_eps=0.05, window=window)
+        depths = [plane_depth(CAM, random_pose(rng), 2.0) for _ in range(3)]
+        for shape in [(1, 1), (3, 8), (24, 31)]:
+            vals = rng.uniform(0.5, 3.0, shape)
+            vals[rng.random(shape) < 0.3] = 0.0
+            depths.append(DepthMap(vals))
+        depths.append(DepthMap(np.zeros((5, 6))))
+        for depth in depths:
+            got, want = robust_depth_map(depth, params), scipy_robust_depth_map(depth, params)
+            assert got.values.tobytes() == want.values.tobytes()
+            np.testing.assert_array_equal(got.valid, want.valid)
 
 
 class TestRobustDepth:

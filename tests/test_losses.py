@@ -52,6 +52,9 @@ class TestHingeTerm:
             DescriptorLossParams(positive_margin=1.2)
         with pytest.raises(InvalidSpecError):
             DescriptorLossParams(positive_weight=0.0)
+        for bad in (np.inf, np.nan, -np.inf):
+            with pytest.raises(InvalidSpecError):
+                DescriptorLossParams(positive_weight=bad)
 
 
 class TestDescriptorLoss:

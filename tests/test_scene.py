@@ -461,6 +461,20 @@ class TestTrajectories:
         with pytest.raises(InvalidSpecError):
             TrajectorySpec(frames=1)
 
+    @pytest.mark.parametrize("kw", [
+        {"center": (0.0, 0.0)}, {"center": ()}, {"center": (0.0, 0.0, 0.0, 0.0)},
+        {"center": (0.0, np.nan, 0.0)}, {"center": (np.inf, 0.0, 0.0)},
+        {"radius": np.inf}, {"height": np.inf}, {"height": -np.inf}, {"height": np.nan},
+        {"jitter_deg": np.inf}, {"jitter_deg": np.nan},
+    ])
+    def test_center_and_sizes_must_be_finite(self, kw):
+        with pytest.raises(InvalidSpecError):
+            TrajectorySpec(**kw)
+
+    def test_finite_legal_values_accepted(self):
+        spec = TrajectorySpec(center=[1, -2, 0.5], height=-0.5, jitter_deg=0.0)
+        assert spec.center == [1, -2, 0.5]
+
     def test_look_at_straight_down_degenerate(self):
         with pytest.raises(InvalidSpecError):
             look_at([0, 0, 2.0], [0, 0, 0.0])
