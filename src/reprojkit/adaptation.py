@@ -7,8 +7,10 @@ stamped at the landing pixels. Aggregating the stamped masks with the
 reference heatmap and re-running non-maximum suppression yields the
 label set.
 
-Each frame's view, heatmap, NMS points and robust depth map are kept in a
-per-frame cache (``FrameEntry`` by frame index) that the caller owns.
+Each frame's view, heatmap, NMS points, robust depth map, and its points
+lifted to the world with their heatmap patches, are kept in a per-frame
+cache (``FrameEntry`` by frame index) that the caller owns. A window's
+sampled frames then land in its reference view in one batch.
 ``generate_pseudo_labels`` slides one cache along the sequence: before
 labelling reference frame ``ref`` it evicts every index below ``ref``, so
 it holds at most ``window_len`` frames and computes each frame's work
@@ -26,8 +28,9 @@ from .geometry import (
     DepthMap,
     RenderedView,
     ReprojectionParams,
+    _land_points,
+    _lift_points,
     _window_extreme,
-    reproject_points,
     robust_depth_map,
 )
 
@@ -104,6 +107,8 @@ class AdaptationParams:
             raise InvalidSpecError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.aggregate not in AGGREGATE_MODES:
             raise InvalidSpecError(f"aggregate must be one of {AGGREGATE_MODES}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,20 @@ class PseudoLabels:
 
 @dataclass(frozen=True)
 class FrameEntry:
-    """One frame's share of pseudo-labelling, computed once per frame."""
+    """One frame's share of pseudo-labelling, computed once per frame.
+
+    ``world``, ``stamps`` and ``inside`` describe the frame as a sampled
+    frame: its NMS points with valid robust depth, lifted to the world,
+    and the heatmap patch each of them stamps wherever it lands.
+    """
 
     view: RenderedView
     heat: np.ndarray  # detector heatmap, float64, (H, W)
     points: np.ndarray  # nms(heat) as (N, 2) int (x, y)
     robust: DepthMap  # robust_depth_map(view.depth)
+    world: np.ndarray  # (V, 3) world points of the V points with valid depth
+    stamps: np.ndarray  # (V, (2p+1)^2) heat values around those points
+    inside: np.ndarray  # (V, (2p+1)^2) bool: the stamp cell lies inside the image
 
 
 def _cached_entry(cache: dict, views, i: int, detector, params: AdaptationParams,
@@ -139,10 +152,40 @@ def _cached_entry(cache: dict, views, i: int, detector, params: AdaptationParams
             raise ShapeError(
                 f"frame {i}: detector heatmap shape {heat.shape} does not match "
                 f"the {view.cam.height}x{view.cam.width} image")
-        entry = cache[i] = FrameEntry(view, heat,
-                                      nms(heat, params.nms_radius, params.threshold),
-                                      robust_depth_map(view.depth, reproj))
+        points = nms(heat, params.nms_radius, params.threshold)
+        robust = robust_depth_map(view.depth, reproj)
+        world, valid = _lift_points(points.astype(np.float64), view, robust)
+        stamps, inside = _source_stamps(heat, points[valid], params.patch // 2)
+        entry = cache[i] = FrameEntry(view, heat, points, robust, world, stamps, inside)
     return entry
+
+
+def _patch_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of the (2r+1)^2 patch cells, row-major."""
+    return np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
+
+
+def _source_stamps(src: np.ndarray, src_xy: np.ndarray,
+                   radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2r+1)^2 neighborhood of each ``src_xy`` pixel in src, one row
+    per (x, y) point and one column per offset, and where those cells lie
+    inside src. Values of cells outside src are placeholders."""
+    oy, ox = _patch_offsets(radius)
+    sy, sx = src_xy[:, 1:] + oy, src_xy[:, :1] + ox
+    h, w = src.shape
+    inside = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    return src[sy.clip(0, h - 1), sx.clip(0, w - 1)], inside
+
+
+def _stamp_cells(shape: tuple[int, int], dst_xy: np.ndarray, inside: np.ndarray,
+                 radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an image of ``shape`` of the patch cells centred
+    on each ``dst_xy`` pixel, and which cells to stamp: those inside both
+    images (``inside`` says which lie inside the source)."""
+    oy, ox = _patch_offsets(radius)
+    dy, dx = dst_xy[:, 1:] + oy, dst_xy[:, :1] + ox
+    keep = inside & (dy >= 0) & (dy < shape[0]) & (dx >= 0) & (dx < shape[1])
+    return dy * shape[1] + dx, keep
 
 
 def _stamp_patches(mask: np.ndarray, src: np.ndarray, src_xy: np.ndarray,
@@ -153,13 +196,33 @@ def _stamp_patches(mask: np.ndarray, src: np.ndarray, src_xy: np.ndarray,
     Both neighborhoods are clipped at their image borders; overlapping
     stamps combine by per-pixel maximum so stamp order cannot matter.
     """
-    oy, ox = np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
-    # one row per point, one column per offset
-    sy, sx = src_xy[:, 1:] + oy, src_xy[:, :1] + ox
-    dy, dx = dst_xy[:, 1:] + oy, dst_xy[:, :1] + ox
-    keep = ((sy >= 0) & (sy < src.shape[0]) & (sx >= 0) & (sx < src.shape[1])
-            & (dy >= 0) & (dy < mask.shape[0]) & (dx >= 0) & (dx < mask.shape[1]))
-    np.maximum.at(mask, (dy[keep], dx[keep]), src[sy[keep], sx[keep]])
+    stamps, inside = _source_stamps(src, src_xy, radius)
+    cells, keep = _stamp_cells(mask.shape, dst_xy, inside, radius)
+    np.maximum.at(mask, np.divmod(cells[keep], mask.shape[1]), stamps[keep])
+
+
+def _window_stamps(dst: FrameEntry, srcs: list[FrameEntry], reproj: ReprojectionParams,
+                   radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per sampled frame in ``srcs``, in order: the flat cells of dst's
+    image its accepted points stamp and the heat values stamped there.
+
+    Every frame's world points land in dst in one call, and the cells come
+    in the order ``_stamp_patches`` would visit them frame by frame.
+    """
+    if not srcs:
+        return []
+    targets, _, reasons = _land_points(np.concatenate([s.world for s in srcs]),
+                                       dst.view, dst.robust, reproj)
+    ok = reasons == 0
+    cells, keep = _stamp_cells(dst.heat.shape, np.rint(targets[ok]).astype(int),
+                               np.concatenate([s.inside for s in srcs])[ok], radius)
+    stamps = np.concatenate([s.stamps for s in srcs])[ok]
+    # kept cells before each landed row; a frame's cells start with its first row's
+    per_row = np.zeros(len(ok), dtype=np.intp)
+    per_row[ok] = keep.sum(axis=1)
+    before = np.concatenate([[0], np.cumsum(per_row)])
+    bounds = before[np.cumsum([len(s.world) for s in srcs[:-1]], dtype=np.intp)]
+    return list(zip(np.split(cells[keep], bounds), np.split(stamps[keep], bounds)))
 
 
 def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
@@ -173,9 +236,13 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
 
     ``cache`` maps frame index to FrameEntry. Entries missing from it are
     built from ``views`` with ``detector`` and added, so a caller that
-    passes the same dict for overlapping windows reads, detects and
-    filters each frame once. It must only hold entries made from these
+    passes the same dict for overlapping windows reads, detects, filters
+    and lifts each frame once. It must only hold entries made from these
     views, detector and parameters. Without it a private one is used.
+
+    The sampled frames' world points land in the reference in one call;
+    their stamps are then applied one frame at a time, exactly as if each
+    frame were reprojected and stamped on its own.
     """
     n = len(views)
     if ref < 0 or ref + params.window_len > n:
@@ -188,25 +255,18 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
     if cache is None:
         cache = {}
     dst = _cached_entry(cache, views, ref, detector, params, reproj)
+    srcs = [_cached_entry(cache, views, r, detector, params, reproj) for r in picked]
     heat = dst.heat
-    pr = params.patch // 2
     # each sampled frame's mask is folded in as soon as it is stamped, so one
     # mask buffer serves every frame: a running maximum from the reference
     # heatmap, or a left-to-right running sum (``sum(masks)`` to the bit)
     take_max = params.aggregate == "max" or not picked
     acc = heat.copy() if take_max else np.zeros_like(heat)
     fold = np.maximum if take_max else np.add
-    mask = np.empty_like(heat)
-    for r in picked:
-        src = _cached_entry(cache, views, r, detector, params, reproj)
+    mask = np.empty(heat.shape)  # C order, so reshape(-1) is a view
+    for cells, stamps in _window_stamps(dst, srcs, reproj, params.patch // 2):
         mask.fill(0.0)
-        if len(src.points):
-            targets, _, reasons = reproject_points(
-                src.points.astype(np.float64), src.view, dst.view, reproj,
-                src_robust=src.robust, dst_robust=dst.robust)
-            ok = reasons == 0
-            _stamp_patches(mask, src.heat, src.points[ok],
-                           np.rint(targets[ok]).astype(int), pr)
+        np.maximum.at(mask.reshape(-1), cells, stamps)
         fold(acc, mask, out=acc)
 
     if take_max:
@@ -226,8 +286,9 @@ def generate_pseudo_labels(views, detector, params: AdaptationParams,
     is labelled, entries below ``ref`` are evicted and the window's frames
     ``ref .. ref + window_len - 1`` are filled in ascending order. So the
     cache never holds more than ``window_len`` frames, and each of
-    ``views[0] .. views[n - 1]`` is read, detected and filtered exactly
-    once, in order; ``views`` can be a lazy sequence that reads from disk.
+    ``views[0] .. views[n - 1]`` is read, detected, filtered and lifted
+    exactly once, in order; ``views`` can be a lazy sequence that reads
+    from disk.
     """
     n = len(views)
     if n < params.window_len:
@@ -248,8 +309,7 @@ def write_labels(labels, path) -> None:
     """One `frame_idx x y` line per label point."""
     with open(path, "w") as f:
         for lab in labels:
-            for x, y in lab.points:
-                f.write(f"{lab.frame_index} {x} {y}\n")
+            f.write("".join(f"{lab.frame_index} {x} {y}\n" for x, y in lab.points.tolist()))
 
 
 def read_labels(path) -> list[PseudoLabels]:

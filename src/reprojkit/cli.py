@@ -40,6 +40,7 @@ from .errors import (
     ConfigError,
     DegenerateConfigurationError,
     EstimationFailedError,
+    InvalidSpecError,
     ReprojkitError,
 )
 from .evaluation import (
@@ -91,7 +92,10 @@ def _write_report(cfg: RunConfig, command: str, results: dict) -> Path:
 def _load_run_config(config_path, seed, out) -> RunConfig:
     cfg = load_config(config_path) if config_path else default_config()
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
+        try:
+            cfg = replace(cfg, seed=seed)
+        except InvalidSpecError as e:
+            raise ConfigError(f"invalid --seed: {e}") from e
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     return cfg

@@ -93,6 +93,8 @@ class RunConfig:
             raise InvalidSpecError(f"scene must be a builtin tag or a path, got {self.scene!r}")
         if self.n_pairs < 1:
             raise InvalidSpecError("n_pairs must be positive")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise InvalidSpecError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 

@@ -27,6 +27,8 @@ class PairSamplingParams:
         if not 0 < self.min_offset <= self.max_offset:
             raise InvalidSpecError(
                 f"need 0 < min_offset <= max_offset, got [{self.min_offset}, {self.max_offset}]")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 class PairSampler:

@@ -221,7 +221,8 @@ def _nearest(sims: np.ndarray, ratio: float | None):
     no full-size copy. The unit-descriptor distance ``sqrt(max(2 - 2s, 0))``
     never increases with the similarity ``s``, so a row's two smallest
     distances are the distances of its two largest similarities: only
-    those two, from one partition of the block, are mapped.
+    those two are mapped. The second largest is the row maximum once the
+    argmax cell is set to -inf, so an equal maximum elsewhere is found.
     """
     n, m = sims.shape
     nearest = np.empty(n, dtype=np.intp)
@@ -229,11 +230,15 @@ def _nearest(sims: np.ndarray, ratio: float | None):
     for start in range(0, n, _BLOCK):
         block = np.array(sims[start:start + _BLOCK], order="C")
         rows = slice(start, start + len(block))
-        nearest[rows] = block.argmax(axis=1)
+        best_col = block.argmax(axis=1)
+        nearest[rows] = best_col
         if ratio is None or m < 2:
             continue
-        block.partition(m - 2, axis=1)
-        second, best = np.sqrt(np.maximum(2.0 - 2.0 * block[:, m - 2:], 0.0)).T
+        top = np.arange(len(block)), best_col
+        best_sim = block[top]
+        block[top] = -np.inf
+        sim = np.stack([block.max(axis=1), best_sim])
+        second, best = np.sqrt(np.maximum(2.0 - 2.0 * sim, 0.0))
         # a zero second-best distance means duplicates; ratio 1 fails the test
         with np.errstate(divide="ignore", invalid="ignore"):
             ok[rows] = np.where(second > 0, best / second, 1.0) < ratio

@@ -353,6 +353,68 @@ def robust_depth_map(depth: DepthMap, params: ReprojectionParams) -> DepthMap:
     return DepthMap(out, any_valid)
 
 
+def _lift_points(points: np.ndarray, src: RenderedView, src_robust: DepthMap):
+    """The source half of ``reproject_points``: lift (N, 2) src pixels to
+    world points through src's robust depth.
+
+    Returns ``(world, valid)``: (V, 3) world points for the V pixels whose
+    robust depth is valid, in order, and the (N,) mask of those pixels
+    (the rest are rejected as INVALID_DEPTH).
+    """
+    xi = np.rint(points[:, 0]).astype(int)
+    yi = np.rint(points[:, 1]).astype(int)
+    if np.any((xi < 0) | (xi >= src.cam.width) | (yi < 0) | (yi >= src.cam.height)):
+        raise ValueError("source pixels must lie inside the source image")
+    valid = src_robust.valid[yi, xi]
+    d = src_robust.values[yi[valid], xi[valid]]
+    return backproject(points[valid], d, src.cam, src.pose), valid
+
+
+def _land_points(world: np.ndarray, dst: RenderedView, dst_robust: DepthMap,
+                 params: ReprojectionParams):
+    """The destination half of ``reproject_points``: project (M, 3) world
+    points into dst and test them.
+
+    Returns ``(targets, depths, reasons)`` per world point, as
+    ``reproject_points`` does, with reasons BEHIND_CAMERA, OUT_OF_BOUNDS
+    or OCCLUDED. Each point is handled on its own, so landing a
+    concatenation of lifts gives each lift's rows bit for bit.
+    """
+    m = len(world)
+    targets = np.full((m, 2), np.nan)
+    depths = np.full(m, np.nan)
+    reasons = np.zeros(m, dtype=np.uint8)
+    X = dst.pose.world_to_camera(world)
+    z = X[:, 2]
+
+    front = z > MIN_FRONT_Z
+    reasons[~front] = RejectReason.BEHIND_CAMERA
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px = dst.cam.fx * X[:, 0] / z + dst.cam.cx
+        py = dst.cam.fy * X[:, 1] / z + dst.cam.cy
+    pix = np.stack([px, py], axis=-1)
+
+    inb = front & dst.cam.contains(pix)
+    reasons[front & ~inb] = RejectReason.OUT_OF_BOUNDS
+    # occlusion: projected ray distance must agree with dst's robust depth
+    ray_dist = np.linalg.norm(X, axis=-1)
+    pix_safe = np.where(np.isfinite(pix), pix, 0.0)
+    lx = np.rint(pix_safe[:, 0]).astype(int)
+    ly = np.rint(pix_safe[:, 1]).astype(int)
+    lx = np.clip(lx, 0, dst.cam.width - 1)
+    ly = np.clip(ly, 0, dst.cam.height - 1)
+    dst_d = dst_robust.values[ly, lx]
+    dst_ok = dst_robust.valid[ly, lx]
+    occluded = inb & dst_ok & (ray_dist - dst_d > params.depth_eps)
+    reasons[occluded] = RejectReason.OCCLUDED
+
+    accepted = inb & ~occluded
+    targets[accepted] = pix[accepted]
+    depths[accepted] = z[accepted]
+    return targets, depths, reasons
+
+
 def reproject_points(
     points: np.ndarray,
     src: RenderedView,
@@ -375,53 +437,16 @@ def reproject_points(
     n = points.shape[0]
     targets = np.full((n, 2), np.nan)
     depths = np.full(n, np.nan)
-    reasons = np.zeros(n, dtype=np.uint8)
+    reasons = np.full(n, RejectReason.INVALID_DEPTH, dtype=np.uint8)
 
     if src_robust is None:
         src_robust = robust_depth_map(src.depth, params)
     if dst_robust is None:
         dst_robust = robust_depth_map(dst.depth, params)
 
-    xi = np.rint(points[:, 0]).astype(int)
-    yi = np.rint(points[:, 1]).astype(int)
-    if np.any((xi < 0) | (xi >= src.cam.width) | (yi < 0) | (yi >= src.cam.height)):
-        raise ValueError("source pixels must lie inside the source image")
-    ok = src_robust.valid[yi, xi]
-    reasons[~ok] = RejectReason.INVALID_DEPTH
-    if not np.any(ok):
-        return targets, depths, reasons
-
-    d = src_robust.values[yi[ok], xi[ok]]
-    world = backproject(points[ok], d, src.cam, src.pose)
-    X = dst.pose.world_to_camera(world)
-    z = X[:, 2]
-
-    front = z > MIN_FRONT_Z
-    sub = np.flatnonzero(ok)
-    reasons[sub[~front]] = RejectReason.BEHIND_CAMERA
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = dst.cam.fx * X[:, 0] / z + dst.cam.cx
-        py = dst.cam.fy * X[:, 1] / z + dst.cam.cy
-    pix = np.stack([px, py], axis=-1)
-
-    inb = front & dst.cam.contains(pix)
-    reasons[sub[front & ~inb]] = RejectReason.OUT_OF_BOUNDS
-    # occlusion: projected ray distance must agree with dst's robust depth
-    ray_dist = np.linalg.norm(X, axis=-1)
-    pix_safe = np.where(np.isfinite(pix), pix, 0.0)
-    lx = np.rint(pix_safe[:, 0]).astype(int)
-    ly = np.rint(pix_safe[:, 1]).astype(int)
-    lx = np.clip(lx, 0, dst.cam.width - 1)
-    ly = np.clip(ly, 0, dst.cam.height - 1)
-    dst_d = dst_robust.values[ly, lx]
-    dst_ok = dst_robust.valid[ly, lx]
-    occluded = inb & dst_ok & (ray_dist - dst_d > params.depth_eps)
-    reasons[sub[occluded]] = RejectReason.OCCLUDED
-
-    accepted = inb & ~occluded
-    targets[sub[accepted]] = pix[accepted]
-    depths[sub[accepted]] = z[accepted]
+    world, valid = _lift_points(points, src, src_robust)
+    targets[valid], depths[valid], reasons[valid] = _land_points(world, dst, dst_robust,
+                                                                 params)
     return targets, depths, reasons
 
 

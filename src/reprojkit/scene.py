@@ -290,6 +290,8 @@ class TrajectorySpec:
             raise InvalidSpecError("trajectory radius must be positive")
         if self.jitter_deg < 0:
             raise InvalidSpecError("jitter bound must be nonnegative")
+        if self.seed < 0:
+            raise InvalidSpecError(f"trajectory seed must be >= 0, got {self.seed}")
         _vec3(self.center, "trajectory center")
         for name in ("radius", "height", "jitter_deg"):
             if not np.isfinite(getattr(self, name)):

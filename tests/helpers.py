@@ -1,9 +1,13 @@
 """Shared fixtures-in-code for the test suite: analytic views and poses."""
 
+import functools
+
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from reprojkit.config import load_scene
 from reprojkit.geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
+from reprojkit.scene import TrajectorySpec, generate_trajectory, render_view
 
 
 def rotation(axis, deg):
@@ -44,3 +48,23 @@ def random_pose(rng, t_scale=2.0):
 def default_cam(width=301, height=201, f=100.0):
     return CameraIntrinsics(fx=f, fy=f, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                             width=width, height=height)
+
+
+@functools.cache
+def rendered_frames(kind, n=8):
+    """The first ``n`` frames of a rendered sequence, as a tuple of views.
+
+    ``general`` is the builtin general scene on the default 200-frame
+    orbit (160x160), ``hires`` the same scene through a 320x240 camera on
+    a 40-frame line sweep, and ``plane`` the builtin plane on an 80-frame
+    orbit.
+    """
+    if kind == "hires":
+        spec, _ = load_scene("builtin:general")
+        cam = CameraIntrinsics(fx=256.0, fy=256.0, cx=159.5, cy=119.5, width=320, height=240)
+        traj = TrajectorySpec(kind="line", frames=40)
+    else:
+        spec, cam = load_scene(f"builtin:{kind}")
+        traj = TrajectorySpec(frames=200 if kind == "general" else 80)
+    poses = generate_trajectory(traj)[:n]
+    return tuple(render_view(spec, cam, pose, index=i) for i, pose in enumerate(poses))

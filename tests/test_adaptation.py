@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from reprojkit import adaptation
+from reprojkit import adaptation, frontend, geometry
 from reprojkit.adaptation import (
+    AGGREGATE_MODES,
     AdaptationParams,
     PseudoLabels,
     _stamp_patches,
@@ -16,14 +17,16 @@ from reprojkit.adaptation import (
 )
 from reprojkit.errors import InvalidSpecError, ShapeError
 from reprojkit.geometry import (
+    DepthMap,
     PoseSE3,
+    RejectReason,
     RenderedView,
     ReprojectionParams,
     reproject_points,
     robust_depth_map,
 )
 
-from helpers import default_cam, flat_view, plane_depth, rotation
+from helpers import default_cam, flat_view, plane_depth, rendered_frames, rotation
 
 
 def brute_force_nms(heatmap, radius, threshold):
@@ -390,6 +393,184 @@ def reference_pseudo_labels(views, ref, detector, params, reproj):
     else:
         agg = np.clip(heat + sum(masks), 0.0, 1.0)
     return nms(agg, params.nms_radius, params.threshold)
+
+
+def per_source_pseudo_labels(views, ref, detector, params, reproj):
+    """Oracle: each sampled frame reprojected by its own ``reproject_points``
+    call and stamped by its own ``_stamp_patches`` call, folded in order."""
+    rng = np.random.default_rng([params.seed, ref])
+    others = np.arange(ref + 1, ref + params.window_len)
+    picked = sorted(rng.choice(others, size=params.n_sampled, replace=False).tolist())
+    heat = np.asarray(detector(views[ref].image), dtype=np.float64)
+    dst_robust = robust_depth_map(views[ref].depth, reproj)
+    take_max = params.aggregate == "max" or not picked
+    acc = heat.copy() if take_max else np.zeros_like(heat)
+    fold = np.maximum if take_max else np.add
+    mask = np.empty(heat.shape)
+    for r in picked:
+        heat_r = np.asarray(detector(views[r].image), dtype=np.float64)
+        points = nms(heat_r, params.nms_radius, params.threshold)
+        mask.fill(0.0)
+        if len(points):
+            targets, _, reasons = reproject_points(
+                points.astype(np.float64), views[r], views[ref], reproj,
+                src_robust=robust_depth_map(views[r].depth, reproj), dst_robust=dst_robust)
+            ok = reasons == 0
+            _stamp_patches(mask, heat_r, points[ok], np.rint(targets[ok]).astype(int),
+                           params.patch // 2)
+        fold(acc, mask, out=acc)
+    if take_max:
+        agg = acc
+    elif params.aggregate == "mean":
+        agg = (heat + acc) / (1.0 + len(picked))
+    else:
+        agg = np.clip(heat + acc, 0.0, 1.0)
+    return nms(agg, params.nms_radius, params.threshold)
+
+
+def assert_matches_per_source(views, detector, params, reproj=ReprojectionParams()):
+    got = generate_pseudo_labels(views, detector, params, reproj)
+    assert [lab.frame_index for lab in got] == list(range(len(views) - params.window_len + 1))
+    for lab in got:
+        assert_same_points(lab.points,
+                           per_source_pseudo_labels(views, lab.frame_index, detector,
+                                                    params, reproj))
+    return got
+
+
+class TestWindowLanding:
+    """One landing per window gives the per-source loop's labels exactly."""
+
+    @pytest.mark.parametrize("kind", ["general", "hires", "plane"])
+    @pytest.mark.parametrize("patch", [1, 3, 5])
+    @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+    def test_rendered_windows(self, kind, patch, aggregate):
+        views = rendered_frames(kind)
+        params = AdaptationParams(window_len=6, n_sampled=4, patch=patch,
+                                  aggregate=aggregate, seed=3)
+        got = assert_matches_per_source(views, frontend.detect, params)
+        assert all(len(lab.points) for lab in got)
+
+    @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+    def test_frames_without_nms_points(self, aggregate):
+        views, det = random_spike_setup(8, 4)
+        # frames 2, 3 and 5 detect nothing; the window still folds their masks
+        empty = spike_detector({})
+        params = AdaptationParams(window_len=5, n_sampled=4, aggregate=aggregate, seed=1)
+        got = assert_matches_per_source(
+            views, lambda im: empty(im) if im[0, 0, 0] in (2, 3, 5) else det(im), params)
+        assert any(len(lab.points) for lab in got)
+        assert_matches_per_source(views, empty, params)
+
+    @staticmethod
+    def rejecting_views(reason):
+        """Frame 0 and four sampled frames whose every point ``reason`` rejects."""
+        cam = default_cam(width=48, height=48, f=96.0)
+        ident = PoseSE3.identity()
+        ref_pose = {RejectReason.BEHIND_CAMERA: PoseSE3(rotation([0, 1, 0], 180.0), np.zeros(3)),
+                    RejectReason.OUT_OF_BOUNDS: PoseSE3(np.eye(3), [5.0, 0.0, 0.0])}.get(reason,
+                                                                                         ident)
+        views = marked_views(cam, [ref_pose] + [ident] * 4)
+        if reason == RejectReason.INVALID_DEPTH:
+            no_depth = DepthMap(np.zeros((48, 48)), np.zeros((48, 48), dtype=bool))
+            views[1:] = [RenderedView(v.image, no_depth, cam, v.pose, v.index)
+                         for v in views[1:]]
+        elif reason == RejectReason.OCCLUDED:
+            # the reference sees a surface at 1 m in front of the 2 m plane
+            views[0] = RenderedView(views[0].image, plane_depth(cam, ident, 1.0), cam, ident, 0)
+        return views
+
+    @pytest.mark.parametrize("reason", list(RejectReason), ids=lambda r: r.name)
+    @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+    def test_every_point_rejected(self, reason, aggregate):
+        views = self.rejecting_views(reason)
+        rng = np.random.default_rng(int(reason))
+        spikes = {i: [(int(x), int(y), float(s))
+                      for x, y, s in zip(rng.integers(0, 48, 10), rng.integers(0, 48, 10),
+                                         rng.uniform(0.1, 1.0, 10))]
+                  for i in range(5)}
+        det = spike_detector(spikes)
+        params = AdaptationParams(window_len=5, n_sampled=4, aggregate=aggregate)
+        reproj = ReprojectionParams()
+        for r in range(1, 5):
+            points = nms(det(views[r].image), params.nms_radius, params.threshold)
+            assert len(points)
+            _, _, reasons = reproject_points(points.astype(np.float64), views[r], views[0],
+                                             reproj)
+            assert (reasons == reason).all()
+        (lab,) = assert_matches_per_source(views, det, params, reproj)
+        heat = det(views[0].image)
+        if aggregate == "mean":
+            heat = heat / 5.0
+        assert_same_points(lab.points, nms(heat, params.nms_radius, params.threshold))
+
+    @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+    def test_points_without_depth_stamp_nothing(self, aggregate):
+        views, _ = random_spike_setup(7, 5)
+        # no depth left of column 20 or above row 10 in the sampled frames
+        valid = np.ones((48, 48), dtype=bool)
+        valid[:, :20] = valid[:10] = False
+        views = views[:1] + [
+            RenderedView(v.image, DepthMap(np.where(valid, v.depth.values, 0.0), valid),
+                         v.cam, v.pose, v.index) for v in views[1:]]
+
+        def det(image):
+            return np.random.default_rng(int(image[0, 0, 0])).uniform(0.0, 1.0, (48, 48))
+
+        params = AdaptationParams(window_len=5, n_sampled=3, aggregate=aggregate, seed=4)
+        robust = robust_depth_map(views[1].depth, ReprojectionParams())
+        points = nms(det(views[1].image), params.nms_radius, params.threshold)
+        has_depth = robust.valid[points[:, 1], points[:, 0]]
+        assert has_depth.any() and not has_depth.all()
+        assert_matches_per_source(views, det, params)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("aggregate", AGGREGATE_MODES)
+    @pytest.mark.parametrize("patch", [1, 3, 5])
+    def test_negative_nan_and_fortran_heat(self, aggregate, patch):
+        views, _ = random_spike_setup(9, 6)
+
+        def det(image):
+            rng = np.random.default_rng(int(image[0, 0, 0]))
+            heat = rng.uniform(-0.5, 1.0, image.shape[:2])
+            heat[rng.random(heat.shape) < 0.05] = np.nan
+            return np.asfortranarray(heat)
+
+        params = AdaptationParams(window_len=5, n_sampled=3, patch=patch,
+                                  aggregate=aggregate, threshold=0.9, seed=2)
+        got = assert_matches_per_source(views, det, params)
+        # a stamped NaN spreads through a mean or sum, never through a maximum
+        assert all(len(lab.points) for lab in got) or aggregate != "max"
+
+    @pytest.mark.parametrize("n_sampled", [0, 1, 5])
+    def test_lifts_each_frame_once_and_lands_each_window_once(self, monkeypatch, n_sampled):
+        n, window_len = 11, 6
+        views, det = random_spike_setup(n, 8)
+        params = AdaptationParams(window_len=window_len, n_sampled=n_sampled, seed=8)
+        want = [per_source_pseudo_labels(views, ref, det, params, ReprojectionParams())
+                for ref in range(n - window_len + 1)]
+        calls = {"lift": [], "land": 0}
+        lift, land = adaptation._lift_points, adaptation._land_points
+
+        def counting_lift(points, src, src_robust):
+            calls["lift"].append(src.index)
+            return lift(points, src, src_robust)
+
+        def counting_land(world, dst, dst_robust, params):
+            calls["land"] += 1
+            return land(world, dst, dst_robust, params)
+
+        def no_reproject(*args, **kwargs):
+            raise AssertionError("labels must not call reproject_points")
+
+        monkeypatch.setattr(adaptation, "_lift_points", counting_lift)
+        monkeypatch.setattr(adaptation, "_land_points", counting_land)
+        monkeypatch.setattr(geometry, "reproject_points", no_reproject)
+        got = generate_pseudo_labels(views, det, params, ReprojectionParams())
+        for g, w in zip(got, want, strict=True):
+            assert_same_points(g.points, w)
+        assert calls == {"lift": list(range(n)),
+                         "land": (n - window_len + 1) if n_sampled else 0}
 
 
 class TestStampPatches:

@@ -198,6 +198,41 @@ class TestSynth:
         assert not (out / "report.json").exists()
 
 
+class TestNegativeSeeds:
+    """Every seed field and ``--seed`` must be >= 0; a negative one exits 1
+    at load in every stage that reads it, with no traceback."""
+
+    CASES = [("--seed", ["synth"]), ("--seed", ["pairs"]), ("--seed", ["labels"]),
+             ("--seed", ["eval", "--task", "pose"]), ("--seed", ["losscheck"]),
+             ("seed", ["pairs"]), ("seed", ["labels"]), ("seed", ["eval", "--task", "pose"]),
+             ("seed", ["losscheck"]), ("trajectory.seed", ["synth"]),
+             ("sampling.seed", ["pairs"]), ("adaptation.seed", ["labels"])]
+
+    @pytest.mark.parametrize("where, command", CASES,
+                             ids=[f"{w}-{c[-1]}" for w, c in CASES])
+    def test_exits_1_at_load(self, tmp_path, where, command):
+        out = tmp_path / "run"
+        extra, flags = {}, []
+        if where == "--seed":
+            flags = ["--seed", "-1"]
+        elif where == "seed":
+            extra = {"seed": -5}
+        elif where == "trajectory.seed":
+            extra = {"trajectory": {"kind": "orbit-with-jitter", "jitter_deg": 2.0,
+                                    "frames": 3, "seed": -2}}
+        else:
+            extra = {where.split(".")[0]: {"seed": -3}}
+        cfg = small_config_file(tmp_path, out, **extra)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-m", "reprojkit.cli", *command, "-c", str(cfg),
+                              *flags], capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert res.stderr.startswith("config error: invalid ")
+        assert "seed must be >= 0, got -" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+
 class TestPairs:
     def test_offsets_respect_bounds(self, runner, tmp_path):
         out = tmp_path / "run"

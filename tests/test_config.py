@@ -366,6 +366,38 @@ class TestIntFields:
         assert cfg.reprojection.depth_eps == 1 and type(cfg.reprojection.depth_eps) is int
 
 
+# every seed field: None is the root ``seed``, the rest are sections
+SEED_SECTIONS = (None, "trajectory", "sampling", "adaptation")
+
+
+def _with_seed(section, value):
+    return {"seed": value} if section is None else {section: {"seed": value}}
+
+
+class TestSeedFields:
+    def test_table_lists_every_seed_field(self):
+        cfg = default_config()
+        sections = {f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))
+                    and "seed" in {g.name for g in fields(getattr(cfg, f.name))}}
+        assert "seed" in {f.name for f in fields(cfg)}
+        assert sections == set(SEED_SECTIONS[1:])
+
+    @pytest.mark.parametrize("section", SEED_SECTIONS)
+    @pytest.mark.parametrize("bad", [-1, -5, -2**70])
+    def test_negative_rejected(self, section, bad):
+        where = section or "config"
+        with pytest.raises(ConfigError,
+                           match=rf"^invalid {where}: .*seed must be >= 0, got {bad}$") as info:
+            config_from_dict(_with_seed(section, bad))
+        assert isinstance(info.value.__cause__, InvalidSpecError)
+
+    @pytest.mark.parametrize("section", SEED_SECTIONS)
+    @pytest.mark.parametrize("good", [0, 2**70])
+    def test_non_negative_accepted(self, section, good):
+        cfg = config_from_dict(_with_seed(section, good))
+        assert (getattr(cfg, section) if section else cfg).seed == good
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("data", MALFORMED_SCENES.values(), ids=MALFORMED_SCENES)
     def test_scene_rejected(self, data):

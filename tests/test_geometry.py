@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import default_cam, flat_view, plane_depth, random_pose, rotation
+from helpers import (
+    default_cam,
+    flat_view,
+    plane_depth,
+    random_pose,
+    rendered_frames,
+    rotation,
+)
 from reprojkit.errors import BehindCameraError, InvalidDepthError
 from reprojkit.geometry import (
     CameraIntrinsics,
@@ -12,6 +19,8 @@ from reprojkit.geometry import (
     RejectReason,
     RenderedView,
     ReprojectionParams,
+    _land_points,
+    _lift_points,
     _window_extreme,
     apply_homography,
     backproject,
@@ -222,6 +231,51 @@ class TestRobustDepth:
                     else:
                         with pytest.raises(InvalidDepthError):
                             robust_depth(p, depth, params)
+
+
+class TestLiftThenLand:
+    """``reproject_points`` is ``_lift_points`` then ``_land_points``, and a
+    concatenation of lifts lands row for row as each lift alone."""
+
+    @pytest.mark.parametrize("kind", ["general", "hires", "plane"])
+    def test_concatenation_equals_per_source_calls(self, kind):
+        views = rendered_frames(kind)
+        # the orbits' far frames put points behind the reference camera
+        if kind != "hires":
+            views = views[:4] + tuple(rendered_frames(kind, 60)[40::6])
+        params = ReprojectionParams()
+        robust = [robust_depth_map(v.depth, params) for v in views]
+        rng = np.random.default_rng(len(kind))
+        dst, dst_robust = views[0], robust[0]
+        lifted, want = [], []
+        for src, src_robust in zip(views[1:], robust[1:]):
+            h, w = src.depth.shape
+            pts = np.column_stack([rng.integers(0, w, 300), rng.integers(0, h, 300)])
+            pts = pts.astype(np.float64)
+            lifted.append(_lift_points(pts, src, src_robust))
+            want.append(reproject_points(pts, src, dst, params,
+                                         src_robust=src_robust, dst_robust=dst_robust))
+        got = _land_points(np.concatenate([world for world, _ in lifted]), dst, dst_robust,
+                           params)
+        start = 0
+        seen = set()
+        for (world, valid), (targets, depths, reasons) in zip(lifted, want):
+            rows = slice(start, start + len(world))
+            start += len(world)
+            assert (reasons[~valid] == RejectReason.INVALID_DEPTH).all()
+            for part, full in zip(got, (targets, depths, reasons)):
+                assert part[rows].tobytes() == full[valid].tobytes()
+            seen.update(reasons.tolist())
+        assert start == len(got[0])
+        assert seen == {0, *RejectReason} or kind != "general"
+
+    def test_empty_lift_lands_nothing(self):
+        view = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
+        robust = robust_depth_map(view.depth, ReprojectionParams())
+        world, valid = _lift_points(np.zeros((0, 2)), view, robust)
+        assert world.shape == (0, 3) and valid.shape == (0,)
+        targets, depths, reasons = _land_points(world, view, robust, ReprojectionParams())
+        assert targets.shape == (0, 2) and depths.shape == (0,) and reasons.shape == (0,)
 
 
 class TestReproject:
