@@ -7,14 +7,14 @@ stamped at the landing pixels. Aggregating the stamped masks with the
 reference heatmap and re-running non-maximum suppression yields the
 label set.
 
-Each frame's view, heatmap, NMS points, robust depth map, and its points
-lifted to the world with their heatmap patches, are kept in a per-frame
-cache (``FrameEntry`` by frame index) that the caller owns. A window's
-sampled frames then land in its reference view in one batch.
-``generate_pseudo_labels`` slides one cache along the sequence: before
-labelling reference frame ``ref`` it evicts every index below ``ref``, so
-it holds at most ``window_len`` frames and computes each frame's work
-once, however many windows the frame falls in.
+Each frame's NMS points, lifted to the world with their heatmap patches,
+are kept in a per-frame cache (``FrameLift`` by frame index) that the
+caller owns; a window's sampled frames then land in its reference view in
+one batch. A frame's view, heatmap and robust depth map are needed in full
+only while it is the reference being labelled. ``generate_pseudo_labels``
+therefore walks the references from last to first: each frame is read,
+detected, filtered and lifted once, the first time a window needs it, and
+only one frame's full arrays are held at a time.
 """
 
 from __future__ import annotations
@@ -120,44 +120,48 @@ class PseudoLabels:
 
 
 @dataclass(frozen=True)
-class FrameEntry:
-    """One frame's share of pseudo-labelling, computed once per frame.
+class FrameLift:
+    """What one frame contributes as a sampled frame, computed once per frame:
+    its NMS points with valid robust depth, lifted to the world, and the
+    heatmap patch each of them stamps wherever it lands."""
 
-    ``world``, ``stamps`` and ``inside`` describe the frame as a sampled
-    frame: its NMS points with valid robust depth, lifted to the world,
-    and the heatmap patch each of them stamps wherever it lands.
-    """
-
-    view: RenderedView
-    heat: np.ndarray  # detector heatmap, float64, (H, W)
-    points: np.ndarray  # nms(heat) as (N, 2) int (x, y)
-    robust: DepthMap  # robust_depth_map(view.depth)
     world: np.ndarray  # (V, 3) world points of the V points with valid depth
     stamps: np.ndarray  # (V, (2p+1)^2) heat values around those points
     inside: np.ndarray  # (V, (2p+1)^2) bool: the stamp cell lies inside the image
 
 
-def _cached_entry(cache: dict, views, i: int, detector, params: AdaptationParams,
-                  reproj: ReprojectionParams) -> FrameEntry:
-    """``cache[i]``, built from ``views[i]`` on first use.
+def _read_frame(views, i: int, detector,
+                reproj: ReprojectionParams) -> tuple[RenderedView, np.ndarray, DepthMap]:
+    """``views[i]``, its detector heatmap and its robust depth map.
 
     Every frame's heatmap is checked against its image size here, so a
     misbehaving detector fails on whichever frame it first misbehaves.
     """
-    entry = cache.get(i)
-    if entry is None:
-        view = views[i]
-        heat = np.asarray(detector(view.image), dtype=np.float64)
-        if heat.shape != (view.cam.height, view.cam.width):
-            raise ShapeError(
-                f"frame {i}: detector heatmap shape {heat.shape} does not match "
-                f"the {view.cam.height}x{view.cam.width} image")
-        points = nms(heat, params.nms_radius, params.threshold)
-        robust = robust_depth_map(view.depth, reproj)
-        world, valid = _lift_points(points.astype(np.float64), view, robust)
-        stamps, inside = _source_stamps(heat, points[valid], params.patch // 2)
-        entry = cache[i] = FrameEntry(view, heat, points, robust, world, stamps, inside)
-    return entry
+    view = views[i]
+    heat = np.asarray(detector(view.image), dtype=np.float64)
+    if heat.shape != (view.cam.height, view.cam.width):
+        raise ShapeError(
+            f"frame {i}: detector heatmap shape {heat.shape} does not match "
+            f"the {view.cam.height}x{view.cam.width} image")
+    return view, heat, robust_depth_map(view.depth, reproj)
+
+
+def _lift_frame(view: RenderedView, heat: np.ndarray, robust: DepthMap,
+                params: AdaptationParams) -> FrameLift:
+    """The frame's NMS points lifted through its robust depth, with their stamps."""
+    points = nms(heat, params.nms_radius, params.threshold)
+    world, valid = _lift_points(points.astype(np.float64), view, robust)
+    return FrameLift(world, *_source_stamps(heat, points[valid], params.patch // 2))
+
+
+def _cached_lift(cache: dict, views, i: int, detector, params: AdaptationParams,
+                 reproj: ReprojectionParams) -> FrameLift:
+    """``cache[i]``, built from ``views[i]`` on first use; the frame's view,
+    heatmap and robust depth map are dropped as soon as it is lifted."""
+    lift = cache.get(i)
+    if lift is None:
+        lift = cache[i] = _lift_frame(*_read_frame(views, i, detector, reproj), params)
+    return lift
 
 
 def _patch_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +205,8 @@ def _stamp_patches(mask: np.ndarray, src: np.ndarray, src_xy: np.ndarray,
     np.maximum.at(mask, np.divmod(cells[keep], mask.shape[1]), stamps[keep])
 
 
-def _window_stamps(dst: FrameEntry, srcs: list[FrameEntry], reproj: ReprojectionParams,
-                   radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _window_stamps(dst: RenderedView, dst_robust: DepthMap, srcs: list[FrameLift],
+                   reproj: ReprojectionParams, radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per sampled frame in ``srcs``, in order: the flat cells of dst's
     image its accepted points stamp and the heat values stamped there.
 
@@ -212,9 +216,10 @@ def _window_stamps(dst: FrameEntry, srcs: list[FrameEntry], reproj: Reprojection
     if not srcs:
         return []
     targets, _, reasons = _land_points(np.concatenate([s.world for s in srcs]),
-                                       dst.view, dst.robust, reproj)
+                                       dst, dst_robust, reproj)
     ok = reasons == 0
-    cells, keep = _stamp_cells(dst.heat.shape, np.rint(targets[ok]).astype(int),
+    cells, keep = _stamp_cells((dst.cam.height, dst.cam.width),
+                               np.rint(targets[ok]).astype(int),
                                np.concatenate([s.inside for s in srcs])[ok], radius)
     stamps = np.concatenate([s.stamps for s in srcs])[ok]
     # kept cells before each landed row; a frame's cells start with its first row's
@@ -227,18 +232,23 @@ def _window_stamps(dst: FrameEntry, srcs: list[FrameEntry], reproj: Reprojection
 
 def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
                             reproj: ReprojectionParams, *,
-                            cache: dict[int, FrameEntry] | None = None) -> PseudoLabels:
+                            cache: dict[int, FrameLift] | None = None) -> PseudoLabels:
     """Labels for ``views[ref]`` from its window of following frames.
 
     ``views`` must expose ``views[i]`` as RenderedView and support len().
     The sampled-frame choice is seeded per (seed, ref), so every reference
     frame is reproducible in isolation.
 
-    ``cache`` maps frame index to FrameEntry. Entries missing from it are
-    built from ``views`` with ``detector`` and added, so a caller that
-    passes the same dict for overlapping windows reads, detects, filters
-    and lifts each frame once. It must only hold entries made from these
-    views, detector and parameters. Without it a private one is used.
+    ``cache`` maps frame index to FrameLift. Sampled frames missing from it
+    are read, detected and lifted one at a time and added; then the
+    reference is read, and its lift is added too. A caller that passes the
+    same dict while walking references from last to first (as
+    ``generate_pseudo_labels`` does) therefore reads, detects, filters and
+    lifts each frame once: a frame is read in full as the reference, and
+    every earlier window only samples its lift. The cache must only hold
+    lifts made from these views, detector and parameters. Without it a
+    private one is used. The reference's view, heatmap and robust depth map
+    live only for this call.
 
     The sampled frames' world points land in the reference in one call;
     their stamps are then applied one frame at a time, exactly as if each
@@ -254,9 +264,9 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
 
     if cache is None:
         cache = {}
-    dst = _cached_entry(cache, views, ref, detector, params, reproj)
-    srcs = [_cached_entry(cache, views, r, detector, params, reproj) for r in picked]
-    heat = dst.heat
+    srcs = [_cached_lift(cache, views, r, detector, params, reproj) for r in picked]
+    view, heat, robust = _read_frame(views, ref, detector, reproj)
+    cache[ref] = _lift_frame(view, heat, robust, params)
     # each sampled frame's mask is folded in as soon as it is stamped, so one
     # mask buffer serves every frame: a running maximum from the reference
     # heatmap, or a left-to-right running sum (``sum(masks)`` to the bit)
@@ -264,7 +274,7 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
     acc = heat.copy() if take_max else np.zeros_like(heat)
     fold = np.maximum if take_max else np.add
     mask = np.empty(heat.shape)  # C order, so reshape(-1) is a view
-    for cells, stamps in _window_stamps(dst, srcs, reproj, params.patch // 2):
+    for cells, stamps in _window_stamps(view, robust, srcs, reproj, params.patch // 2):
         mask.fill(0.0)
         np.maximum.at(mask.reshape(-1), cells, stamps)
         fold(acc, mask, out=acc)
@@ -280,28 +290,33 @@ def pseudo_labels_for_frame(views, ref: int, detector, params: AdaptationParams,
 
 def generate_pseudo_labels(views, detector, params: AdaptationParams,
                            reproj: ReprojectionParams) -> list[PseudoLabels]:
-    """Pseudo-labels for every reference frame with a full window after it.
+    """Pseudo-labels for every reference frame with a full window after it,
+    in frame order.
 
-    One frame cache serves every window. Before reference frame ``ref``
-    is labelled, entries below ``ref`` are evicted and the window's frames
-    ``ref .. ref + window_len - 1`` are filled in ascending order. So the
-    cache never holds more than ``window_len`` frames, and each of
-    ``views[0] .. views[n - 1]`` is read, detected, filtered and lifted
-    exactly once, in order; ``views`` can be a lazy sequence that reads
-    from disk.
+    The references are labelled from last to first through one lift cache,
+    so a frame is first needed as the reference of its own window, and
+    every earlier window only samples its lift. The frames after the last
+    reference, which are never references, are read and lifted first, in
+    ascending order. Each of ``views[0] .. views[n - 1]`` is thus read,
+    detected, filtered and lifted exactly once; ``views`` can be a lazy
+    sequence that reads from disk. One frame's view, heatmap and robust
+    depth map are held at a time, and the cache holds at most
+    ``window_len`` lifts.
     """
     n = len(views)
     if n < params.window_len:
         raise InvalidSpecError(f"need at least {params.window_len} frames, have {n}")
-    cache: dict[int, FrameEntry] = {}
+    last = n - params.window_len
+    cache: dict[int, FrameLift] = {}
+    for i in range(last + 1, n):
+        _cached_lift(cache, views, i, detector, params, reproj)
     labels = []
-    for ref in range(n - params.window_len + 1):
-        for i in [i for i in cache if i < ref]:
-            del cache[i]
-        for i in range(ref, ref + params.window_len):
-            _cached_entry(cache, views, i, detector, params, reproj)
+    for ref in range(last, -1, -1):
         labels.append(pseudo_labels_for_frame(views, ref, detector, params, reproj,
                                               cache=cache))
+        # the next window, ref - 1 .. ref + window_len - 2, no longer samples it
+        del cache[ref + params.window_len - 1]
+    labels.reverse()
     return labels
 
 

@@ -50,8 +50,8 @@ class EvalParams:
         for name in ("cell_eps_reprojection", "cell_eps_homography", "pixel_eps",
                      "homography_threshold_px", "essential_threshold_px",
                      "translation_split"):
-            if not getattr(self, name) > 0:
-                raise InvalidSpecError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidSpecError(f"{name} must be positive and finite")
         if self.detect_k < 1 or self.ransac_iterations < 1:
             raise InvalidSpecError("detect_k and ransac_iterations must be positive")
         if self.nms_radius < 1:
@@ -68,8 +68,8 @@ class EvalParams:
         for name in ("homography_auc_px", "pose_auc_deg", "rotation_acc_deg",
                      "translation_acc_cm", "chamfer_acc_cm"):
             values = getattr(self, name)
-            if len(values) == 0 or any(not v > 0 for v in values):
-                raise InvalidSpecError(f"{name} must be positive thresholds")
+            if len(values) == 0 or any(not 0 < v < np.inf for v in values):
+                raise InvalidSpecError(f"{name} must be positive finite thresholds")
             object.__setattr__(self, name, tuple(float(v) for v in values))
 
 

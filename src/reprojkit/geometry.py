@@ -186,8 +186,8 @@ class ReprojectionParams:
     window: int = 5
 
     def __post_init__(self):
-        if not self.depth_eps > 0:
-            raise ValueError(f"depth_eps must be positive, got {self.depth_eps}")
+        if not 0 < self.depth_eps < np.inf:
+            raise ValueError(f"depth_eps must be positive and finite, got {self.depth_eps}")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 1, got {self.window}")
 

@@ -289,7 +289,7 @@ class TrajectorySpec:
         if not self.radius > 0:
             raise InvalidSpecError("trajectory radius must be positive")
         if self.jitter_deg < 0:
-            raise InvalidSpecError("jitter bound must be nonnegative")
+            raise InvalidSpecError("trajectory jitter_deg must be nonnegative")
         if self.seed < 0:
             raise InvalidSpecError(f"trajectory seed must be >= 0, got {self.seed}")
         _vec3(self.center, "trajectory center")

@@ -1,5 +1,8 @@
 """NMS and pseudo-label generation over frame windows."""
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -569,7 +572,8 @@ class TestWindowLanding:
         got = generate_pseudo_labels(views, det, params, ReprojectionParams())
         for g, w in zip(got, want, strict=True):
             assert_same_points(g.points, w)
-        assert calls == {"lift": list(range(n)),
+        # frames after the last reference ascending, then each reference from last to first
+        assert calls == {"lift": read_order(n, window_len),
                          "land": (n - window_len + 1) if n_sampled else 0}
 
 
@@ -620,6 +624,12 @@ class RecordingViews:
     def __getitem__(self, i):
         self.reads.append(i)
         return self.views[i]
+
+
+def read_order(n, window_len):
+    """The frame order of ``generate_pseudo_labels``: the frames that are
+    never references ascending, then the references from last to first."""
+    return list(range(n - window_len + 1, n)) + list(range(n - window_len, -1, -1))
 
 
 def random_spike_setup(n, seed, size=48):
@@ -681,14 +691,15 @@ class TestFrameCache:
         monkeypatch.setattr(adaptation, "pseudo_labels_for_frame", recording_per_frame)
         seq = RecordingViews(views)
         got = generate_pseudo_labels(seq, counting_det, params, reproj)
-        # the cache holds exactly the live window when each frame is labelled
-        assert held == [(ref, list(range(ref, ref + window_len)))
-                        for ref in range(n - window_len + 1)]
+        # references are labelled from last to first, and when each is, the
+        # cache holds exactly the lifts of the frames after it in its window
+        assert held == [(ref, list(range(ref + 1, ref + window_len)))
+                        for ref in range(n - window_len, -1, -1)]
         assert [lab.frame_index for lab in got] == [lab.frame_index for lab in want]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.points, w.points)
         assert calls == {"detect": n, "robust": n}
-        assert seq.reads == list(range(n))
+        assert seq.reads == read_order(n, window_len)
 
     def test_shared_cache_is_reused(self):
         views, det = random_spike_setup(6, 2)
@@ -697,17 +708,66 @@ class TestFrameCache:
         cache = {}
         first = pseudo_labels_for_frame(views, 0, det, params, reproj, cache=cache)
         assert sorted(cache) == [0, 1, 2, 3]
-        for i, entry in cache.items():
-            np.testing.assert_array_equal(entry.heat, det(views[i].image))
+        r = params.patch // 2
+        oy, ox = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
+        for i, lift in cache.items():
+            view = views[i]
+            heat = det(view.image)
+            points = nms(heat, params.nms_radius, params.threshold)
+            robust = robust_depth_map(view.depth, reproj)
+            xy = points[robust.valid[points[:, 1], points[:, 0]]]
+            assert len(xy)
+            depth = robust.values[xy[:, 1], xy[:, 0]]
             np.testing.assert_array_equal(
-                entry.points, nms(entry.heat, params.nms_radius, params.threshold))
-            want = robust_depth_map(views[i].depth, reproj)
-            np.testing.assert_array_equal(entry.robust.values, want.values)
-            np.testing.assert_array_equal(entry.robust.valid, want.valid)
+                lift.world, geometry.backproject(xy.astype(np.float64), depth, view.cam,
+                                                 view.pose))
+            sy, sx = xy[:, 1:] + oy, xy[:, :1] + ox
+            inside = (sy >= 0) & (sy < heat.shape[0]) & (sx >= 0) & (sx < heat.shape[1])
+            np.testing.assert_array_equal(lift.inside, inside)
+            np.testing.assert_array_equal(lift.stamps[inside], heat[sy[inside], sx[inside]])
+        # the sampled frames come from the cache; only the reference is read again
         seq = RecordingViews(views)
         again = pseudo_labels_for_frame(seq, 0, det, params, reproj, cache=cache)
-        assert seq.reads == []
+        assert seq.reads == [0]
         np.testing.assert_array_equal(again.points, first.points)
+
+    @pytest.mark.parametrize("window_len, n_sampled", [(6, 4), (6, 5), (3, 1), (1, 0)])
+    def test_holds_one_frame_at_a_time(self, window_len, n_sampled):
+        n = 12
+        views, det = random_spike_setup(n, 5)
+        params = AdaptationParams(window_len=window_len, n_sampled=n_sampled, seed=5)
+        alive = {"view": set(), "heat": set()}
+        peak = {"view": 0, "heat": 0}
+        made = itertools.count()
+
+        def track(kind, obj):
+            key = next(made)
+            alive[kind].add(key)
+            peak[kind] = max(peak[kind], len(alive[kind]))
+            weakref.finalize(obj, alive[kind].discard, key)
+            return obj
+
+        class LazyViews:
+            """A fresh copy of the frame on every read, as from disk."""
+
+            def __len__(self):
+                return n
+
+            def __getitem__(self, i):
+                v = views[i]
+                return track("view", RenderedView(v.image.copy(), v.depth, v.cam, v.pose,
+                                                  v.index))
+
+        got = generate_pseudo_labels(LazyViews(), lambda image: track("heat", det(image)),
+                                     params, ReprojectionParams())
+        assert next(made) == 2 * n
+        for g, w in zip(got, generate_pseudo_labels(views, det, params, ReprojectionParams()),
+                        strict=True):
+            assert g.frame_index == w.frame_index
+            assert_same_points(g.points, w.points)
+        # one frame at a time: the reference, or a frame being lifted, never a window
+        assert peak == {"view": 1, "heat": 1}
+        assert not alive["view"] and not alive["heat"]
 
     def test_every_frame_heatmap_shape_checked(self):
         cam = default_cam(width=48, height=48, f=96.0)

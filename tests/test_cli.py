@@ -392,6 +392,8 @@ class TestEval:
         (["eval", "--task", "pose"], "eval", "nms_radius", 0),
         (["eval", "--task", "pose"], "eval", "detect_threshold", float("nan")),
         (["losscheck"], "loss", "positive_weight", float("inf")),
+        (["eval", "--task", "pose"], "eval", "pose_auc_deg", [float("inf")]),
+        (["eval", "--task", "homography"], "eval", "homography_auc_px", [3.0, float("inf")]),
     ])
     def test_bad_knob_exits_1_at_load(self, runner, tmp_path, command, section, key, value):
         out = tmp_path / "run"

@@ -366,6 +366,44 @@ class TestIntFields:
         assert cfg.reprojection.depth_eps == 1 and type(cfg.reprojection.depth_eps) is int
 
 
+# every float and tuple field of every section, each with every non-finite value
+NON_FINITE_CASES = [
+    (f.name, g.name, bad)
+    for f in fields(RunConfig) if is_dataclass(section := getattr(default_config(), f.name))
+    for g in fields(section)
+    if get_type_hints(type(section))[g.name] in (float, float | None, tuple)
+    for bad in ("inf", "-inf", "nan")]
+
+
+class TestNonFiniteFields:
+    """Every float knob and every entry of a tuple field must be finite."""
+
+    def test_table_covers_every_section_and_list(self):
+        assert {s for s, _, _ in NON_FINITE_CASES} == {
+            "trajectory", "reprojection", "adaptation", "loss", "eval"}
+        assert {("trajectory", "center"), ("eval", "homography_auc_px"),
+                ("eval", "pose_auc_deg"), ("eval", "rotation_acc_deg"),
+                ("eval", "translation_acc_cm"), ("eval", "chamfer_acc_cm")} <= {
+            (s, n) for s, n, _ in NON_FINITE_CASES}
+
+    @pytest.mark.parametrize("section,name,bad", NON_FINITE_CASES,
+                             ids=[f"{s}.{n}={b}" for s, n, b in NON_FINITE_CASES])
+    def test_rejected_at_load(self, tmp_path, section, name, bad):
+        default = getattr(getattr(default_config(), section), name)
+        if isinstance(default, tuple):
+            # the bad value in each position of the default list in turn
+            values = [[float(bad) if j == i else v for j, v in enumerate(default)]
+                      for i in range(len(default))]
+        else:
+            values = [float(bad)]
+        path = tmp_path / "cfg.json"
+        for value in values:
+            path.write_text(json.dumps({section: {name: value}}))  # writes Infinity, NaN
+            with pytest.raises(ConfigError, match=rf"^invalid {section}: .*\b{name}\b") as info:
+                load_config(path)
+            assert isinstance(info.value.__cause__, (InvalidSpecError, ValueError))
+
+
 # every seed field: None is the root ``seed``, the rest are sections
 SEED_SECTIONS = (None, "trajectory", "sampling", "adaptation")
 
