@@ -222,17 +222,11 @@ def labels(config_path, seed, out, threads):
     click.echo(f"labelled {len(labels_all)} frames ({total} points) -> {path}")
 
 
-def _detect_describe(view, ev):
-    heat = frontend.detect(view.image)
-    kps = frontend.top_k(heat, ev.detect_k, nms_radius=ev.nms_radius,
-                         threshold=ev.detect_threshold)
-    desc, kept = frontend.describe(view.image, kps.xy, dim=ev.descriptor_dim)
-    return kps.xy[kept], desc
-
-
 def _matched_points(view1, view2, ev):
-    pts1, d1 = _detect_describe(view1, ev)
-    pts2, d2 = _detect_describe(view2, ev)
+    knobs = dict(k=ev.detect_k, nms_radius=ev.nms_radius,
+                 threshold=ev.detect_threshold, dim=ev.descriptor_dim)
+    pts1, d1 = frontend.features(view1.image, **knobs)
+    pts2, d2 = frontend.features(view2.image, **knobs)
     m = frontend.match_mnn(d1, d2, ratio=ev.match_ratio)
     return pts1, pts2, pts1[m.indices1], pts2[m.indices2]
 

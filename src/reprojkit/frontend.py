@@ -164,6 +164,24 @@ def describe(image: np.ndarray, xy: np.ndarray, dim: int = 128):
     return out, kept
 
 
+def features(image: np.ndarray, xy: np.ndarray | None = None, *, k: int | None = None,
+             nms_radius: int = 4, threshold: float = 0.0, dim: int = 128):
+    """Described keypoints of one frame: ``(xy, descriptors)``.
+
+    Without ``xy`` the keypoints are detected: ``detect``, then ``top_k``
+    with ``k``, ``nms_radius`` and ``threshold``. Given (N, 2) ``xy``,
+    those points are described instead. Only the keypoints ``describe``
+    keeps are returned, so row i of both arrays is one keypoint.
+    """
+    if xy is None:
+        if k is None:
+            raise InvalidSpecError("k is required when keypoints are detected")
+        xy = top_k(detect(image), k, nms_radius=nms_radius, threshold=threshold).xy
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    desc, kept = describe(image, xy, dim=dim)
+    return xy[kept], desc
+
+
 def _resample(hist: np.ndarray, dim: int) -> np.ndarray:
     """``np.interp`` of every row onto ``dim`` evenly spaced positions.
 

@@ -14,7 +14,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
@@ -202,19 +202,6 @@ class RejectReason(IntEnum):
 
 
 @dataclass(frozen=True)
-class ReprojectionResult:
-    """Outcome of reprojecting one pixel into another view."""
-
-    point: np.ndarray | None
-    depth: float | None
-    reason: RejectReason | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.reason is None
-
-
-@dataclass(frozen=True)
 class RenderedView:
     """One synthetic frame: RGB image, ray-distance depth, and camera."""
 
@@ -287,31 +274,6 @@ def apply_homography(H: np.ndarray, points: np.ndarray) -> np.ndarray:
         return hom[..., :2] / hom[..., 2:]
 
 
-def robust_depth(p: np.ndarray, depth: DepthMap, params: ReprojectionParams) -> float:
-    """Depth-window stabilized ray distance at pixel ``p``.
-
-    Looks at the valid depths inside the ``window x window`` patch
-    centered on ``p`` (clipped at image borders). If the center depth is
-    valid and the patch spread (max - min) does not exceed ``depth_eps``,
-    the center depth is returned; otherwise the patch minimum, which
-    keeps edge pixels attached to the foreground surface.
-    """
-    x, y = (int(v) for v in np.rint(np.asarray(p, dtype=np.float64)))
-    h, w = depth.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise ValueError(f"pixel ({x}, {y}) outside {w}x{h} depth map")
-    r = params.window // 2
-    patch = depth.values[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]
-    mask = depth.valid[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]
-    vals = patch[mask]
-    if vals.size == 0:
-        raise InvalidDepthError(f"no valid depth in window around ({x}, {y})")
-    vmin = float(vals.min())
-    if depth.valid[y, x] and float(vals.max()) - vmin <= params.depth_eps:
-        return float(depth.values[y, x])
-    return vmin
-
-
 def _window_extreme(a: np.ndarray, size: int, op) -> np.ndarray:
     """Running minimum or maximum (``op`` is ``np.minimum`` or
     ``np.maximum``) of 2-D ``a`` over the ``size x size`` window.
@@ -338,10 +300,14 @@ def _window_extreme(a: np.ndarray, size: int, op) -> np.ndarray:
 
 
 def robust_depth_map(depth: DepthMap, params: ReprojectionParams) -> DepthMap:
-    """Vectorized ``robust_depth`` over every pixel of a depth map.
+    """Depth-window stabilized ray distance at every pixel.
 
-    Pixels whose window holds no valid depth are marked invalid instead
-    of raising.
+    Each pixel looks at the valid depths inside the ``window x window``
+    patch centered on it (clipped at image borders). If its own depth is
+    valid and the patch spread (max - min) does not exceed ``depth_eps``,
+    it keeps its own depth; otherwise it takes the patch minimum, which
+    keeps edge pixels attached to the foreground surface. Pixels whose
+    window holds no valid depth are marked invalid.
     """
     vals = depth.values
     vmin = _window_extreme(np.where(depth.valid, vals, np.inf), params.window, np.minimum)
@@ -424,7 +390,7 @@ def reproject_points(
     src_robust: DepthMap | None = None,
     dst_robust: DepthMap | None = None,
 ):
-    """Reproject (N, 2) src pixels into dst; the batch core behind reproject.
+    """Reproject (N, 2) src pixels into dst through geometry and depth.
 
     Returns ``(targets, depths, reasons)``: (N, 2) dst pixels, (N,) dst
     camera-frame z, and (N,) uint8 reject codes (0 where the target is
@@ -449,22 +415,3 @@ def reproject_points(
                                                                  params)
     return targets, depths, reasons
 
-
-def reproject(
-    p: np.ndarray,
-    src: RenderedView,
-    dst: RenderedView,
-    params: ReprojectionParams,
-) -> ReprojectionResult:
-    """Reproject one src pixel into dst through geometry + depth.
-
-    Composes the stabilized depth lookup, back-projection, and projection
-    into the destination camera. Out-of-bounds landings, points behind
-    the destination camera, missing depth, and occlusion-test failures
-    are reported as rejections rather than errors.
-    """
-    targets, depths, reasons = reproject_points(np.asarray(p, dtype=np.float64)[None, :],
-                                                src, dst, params)
-    if reasons[0] != 0:
-        return ReprojectionResult(None, None, RejectReason(int(reasons[0])))
-    return ReprojectionResult(targets[0], float(depths[0]), None)

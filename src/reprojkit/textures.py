@@ -15,7 +15,7 @@ from .errors import InvalidSpecError
 
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)
 _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)
-_MIX3 = np.uint64(0x165667B19E3779F9)
+_MIX3 = 0x165667B19E3779F9  # a Python int: the seed product wraps before numpy sees it
 _MIX4 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX5 = np.uint64(0x94D049BB133111EB)
 
@@ -24,7 +24,7 @@ def _lattice_hash(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     """Deterministic [0, 1) value per integer lattice point (splitmix-style)."""
     x = ix.astype(np.int64).view(np.uint64) if ix.dtype != np.uint64 else ix
     y = iy.astype(np.int64).view(np.uint64) if iy.dtype != np.uint64 else iy
-    h = x * _MIX1 + y * _MIX2 + np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _MIX3
+    h = x * _MIX1 + y * _MIX2 + np.uint64(seed * _MIX3 & 0xFFFFFFFFFFFFFFFF)
     h ^= h >> np.uint64(30)
     h *= _MIX4
     h ^= h >> np.uint64(27)

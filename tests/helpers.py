@@ -1,4 +1,5 @@
-"""Shared fixtures-in-code for the test suite: analytic views and poses."""
+"""Shared fixtures-in-code for the test suite: analytic views and poses,
+and the scalar robust-depth oracle."""
 
 import functools
 
@@ -6,7 +7,9 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from reprojkit.config import load_scene
-from reprojkit.geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
+from reprojkit.errors import InvalidDepthError
+from reprojkit.geometry import (CameraIntrinsics, DepthMap, PoseSE3, RenderedView,
+                                ReprojectionParams)
 from reprojkit.scene import TrajectorySpec, generate_trajectory, render_view
 
 
@@ -38,6 +41,31 @@ def flat_view(cam, pose, plane_z, index=0):
     """RenderedView of a blank image over an analytic plane-depth map."""
     img = np.zeros((cam.height, cam.width, 3), dtype=np.uint8)
     return RenderedView(img, plane_depth(cam, pose, plane_z), cam, pose, index)
+
+
+def robust_depth(p: np.ndarray, depth: DepthMap, params: ReprojectionParams) -> float:
+    """Depth-window stabilized ray distance at pixel ``p``.
+
+    Looks at the valid depths inside the ``window x window`` patch
+    centered on ``p`` (clipped at image borders). If the center depth is
+    valid and the patch spread (max - min) does not exceed ``depth_eps``,
+    the center depth is returned; otherwise the patch minimum, which
+    keeps edge pixels attached to the foreground surface.
+    """
+    x, y = (int(v) for v in np.rint(np.asarray(p, dtype=np.float64)))
+    h, w = depth.shape
+    if not (0 <= x < w and 0 <= y < h):
+        raise ValueError(f"pixel ({x}, {y}) outside {w}x{h} depth map")
+    r = params.window // 2
+    patch = depth.values[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]
+    mask = depth.valid[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]
+    vals = patch[mask]
+    if vals.size == 0:
+        raise InvalidDepthError(f"no valid depth in window around ({x}, {y})")
+    vmin = float(vals.min())
+    if depth.valid[y, x] and float(vals.max()) - vmin <= params.depth_eps:
+        return float(depth.values[y, x])
+    return vmin
 
 
 def random_pose(rng, t_scale=2.0):

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from numpy.random import default_rng
 from scipy.spatial.transform import Rotation
 
-from helpers import default_cam, flat_view, rotation
+from helpers import default_cam, flat_view, robust_depth, rotation
 from test_cli import small_config_file
 from test_correspondence import oracle_positives
 from test_eval_pose import two_view_matches
@@ -32,7 +32,7 @@ from reprojkit.evaluation.pose import (estimate_essential, pose_auc,
 from reprojkit.evaluation.registration import register_pair
 from reprojkit.geometry import (CameraIntrinsics, DepthMap, PoseSE3, RenderedView,
                                 ReprojectionParams, backproject, project,
-                                relative_pose, reproject_points, robust_depth)
+                                relative_pose, reproject_points)
 from reprojkit.losses import descriptor_loss
 from reprojkit.scene import (Plane, SceneSpec, TrajectorySpec, generate_trajectory,
                              render_view)

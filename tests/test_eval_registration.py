@@ -16,11 +16,13 @@ from reprojkit.evaluation import (
     register_pair,
     rotation_error_deg,
 )
-from reprojkit.geometry import PoseSE3
+from reprojkit.evaluation.registration import _grid_keypoints
+from reprojkit.frontend import describe, match_mnn
+from reprojkit.geometry import PoseSE3, relative_pose
 from reprojkit.scene import Plane, SceneSpec, render_view
 from reprojkit.textures import NoiseTexture
 
-from helpers import default_cam, flat_view, rotation
+from helpers import default_cam, flat_view, rendered_frames, rotation
 
 
 def rigid_instance(rng, n=30, noise=0.0):
@@ -200,3 +202,30 @@ class TestRegisterPair:
         # view2 sits 0.125 to the right, so view1 points map left by 0.125
         np.testing.assert_allclose(res.translation, [-0.125, 0.0, 0.0], atol=1e-3)
         np.testing.assert_allclose(res.rotation, np.eye(3), atol=1e-4)
+
+    @pytest.mark.parametrize("kind, pair", [("general", (0, 3)), ("hires", (2, 5))])
+    def test_equals_inline_grid_path(self, kind, pair):
+        """The grid path as written before ``features``: describe each grid,
+        keep the described points, match, lift, weighted Kabsch, chamfer."""
+        frames = rendered_frames(kind)
+        v1, v2 = frames[pair[0]], frames[pair[1]]
+        kp1, kp2 = _grid_keypoints(v1, 4), _grid_keypoints(v2, 4)
+        d1, kept1 = describe(v1.image, kp1, dim=128)
+        d2, kept2 = describe(v2.image, kp2, dim=128)
+        kp1, kp2 = kp1[kept1], kp2[kept2]
+        m = match_mnn(d1, d2, ratio=0.8)
+        p1, ok1 = lift_to_camera(v1, kp1[m.indices1])
+        p2, ok2 = lift_to_camera(v2, kp2[m.indices2])
+        usable = ok1 & ok2
+        weights = np.clip(m.similarity[usable], 0.0, None)
+        R, t = kabsch_weighted(p1[usable], p2[usable], weights)
+        R_gt, t_gt = relative_pose(v1.pose, v2.pose)
+        ys, xs = np.nonzero(v1.depth.valid)
+        cloud, _ = lift_to_camera(v1, np.column_stack([xs[::4], ys[::4]]))
+        chamfer_cm = chamfer_distance(cloud @ R.T + t, cloud @ R_gt.T + t_gt) * 100.0
+
+        res = register_pair(v1, v2)
+        assert weights.any() and res.n_matches == int(usable.sum())
+        np.testing.assert_array_equal(res.rotation, R)
+        np.testing.assert_array_equal(res.translation, t)
+        assert res.chamfer_cm == chamfer_cm

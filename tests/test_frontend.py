@@ -7,12 +7,12 @@ import pytest
 
 from reprojkit import frontend
 from reprojkit.errors import ImageTooSmallError, InvalidSpecError, ShapeError
-from reprojkit.frontend import describe, detect, match_mnn, top_k
+from reprojkit.frontend import describe, detect, features, match_mnn, top_k
 from reprojkit.geometry import PoseSE3, project
 from reprojkit.scene import Plane, SceneSpec, render_view
 from reprojkit.textures import CheckerTexture
 
-from helpers import default_cam
+from helpers import default_cam, rendered_frames
 
 
 def checkerboard(side=64, pitch=8):
@@ -235,6 +235,45 @@ class TestDescribe:
     def test_dim_validation(self):
         with pytest.raises(InvalidSpecError):
             describe(np.zeros((32, 32)), np.array([[16.0, 16.0]]), dim=1)
+
+
+class TestFeatures:
+    """``features`` is ``detect`` -> ``top_k`` -> ``describe`` -> ``xy[kept]``."""
+
+    KNOBS = [dict(k=256, nms_radius=4, threshold=0.015, dim=128),
+             dict(k=40, nms_radius=2, threshold=0.0, dim=32)]
+
+    @pytest.mark.parametrize("kind", ["general", "hires"])
+    @pytest.mark.parametrize("knobs", KNOBS)
+    def test_detected_path_equals_composition(self, kind, knobs):
+        for view in rendered_frames(kind)[:3]:
+            kps = top_k(detect(view.image), knobs["k"], nms_radius=knobs["nms_radius"],
+                        threshold=knobs["threshold"])
+            want_desc, kept = describe(view.image, kps.xy, dim=knobs["dim"])
+            xy, desc = features(view.image, **knobs)
+            assert len(kept) > 0
+            np.testing.assert_array_equal(xy, kps.xy[kept])
+            np.testing.assert_array_equal(desc, want_desc)
+
+    @pytest.mark.parametrize("kind", ["general", "hires"])
+    def test_given_keypoints_drop_the_border(self, kind):
+        view = rendered_frames(kind)[1]
+        h, w = view.image.shape[:2]
+        xs = np.array([0.0, 3.0, 6.0, 6.6, 7.0, 20.0, w - 9.0, w - 8.4, w - 1.0])
+        ys = np.array([1.0, 5.5, 7.0, 30.0, h - 9.0, h - 8.0, h - 2.0])
+        gx, gy = np.meshgrid(xs, ys)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        want_desc, kept = describe(view.image, pts, dim=64)
+        xy, desc = features(view.image, pts, dim=64)
+        assert 0 < len(kept) < len(pts)
+        np.testing.assert_array_equal(xy, pts[kept])
+        np.testing.assert_array_equal(desc, want_desc)
+        xi, yi = np.rint(xy).T
+        assert (xi >= 7).all() and (yi >= 7).all() and (xi <= w - 9).all() and (yi <= h - 9).all()
+
+    def test_detection_needs_k(self):
+        with pytest.raises(InvalidSpecError):
+            features(checkerboard())
 
 
 def _normalize_clipped_oracle(vec):

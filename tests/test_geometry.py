@@ -9,6 +9,7 @@ from helpers import (
     plane_depth,
     random_pose,
     rendered_frames,
+    robust_depth,
     rotation,
 )
 from reprojkit.errors import BehindCameraError, InvalidDepthError
@@ -26,9 +27,7 @@ from reprojkit.geometry import (
     backproject,
     project,
     relative_pose,
-    reproject,
     reproject_points,
-    robust_depth,
     robust_depth_map,
 )
 
@@ -292,12 +291,13 @@ class TestReproject:
         src = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
         shift = 0.4
         dst = flat_view(CAM, PoseSE3(np.eye(3), [shift, 0.0, 0.0]), plane_z=2.0)
-        res = reproject(np.array([170.0, 90.0]), src, dst, self.PARAMS)
-        assert res.ok
+        targets, depths, reasons = reproject_points(np.array([[170.0, 90.0]]), src, dst,
+                                                    self.PARAMS)
+        assert reasons[0] == 0
         # fronto-parallel plane: disparity = fx * dx / z
-        assert res.point[0] == pytest.approx(170.0 - CAM.fx * shift / 2.0, abs=1e-9)
-        assert res.point[1] == pytest.approx(90.0, abs=1e-9)
-        assert res.depth == pytest.approx(2.0, abs=1e-12)
+        assert targets[0, 0] == pytest.approx(170.0 - CAM.fx * shift / 2.0, abs=1e-9)
+        assert targets[0, 1] == pytest.approx(90.0, abs=1e-9)
+        assert depths[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_only_is_depth_independent(self):
         R = rotation([0.3, 1.0, 0.1], 4.0)
@@ -357,20 +357,20 @@ class TestReproject:
         src = flat_view(CAM, PoseSE3.identity(), plane_z=4.0)
         dst = RenderedView(np.zeros((201, 301, 3), dtype=np.uint8),
                            DepthMap(np.full((201, 301), 1.0)), CAM, PoseSE3.identity())
-        res = reproject(np.array([150.0, 100.0]), src, dst, self.PARAMS)
-        assert res.reason == RejectReason.OCCLUDED
+        _, _, reasons = reproject_points(np.array([[150.0, 100.0]]), src, dst, self.PARAMS)
+        assert reasons[0] == RejectReason.OCCLUDED
 
     def test_out_of_bounds_landing_is_rejected(self):
         src = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
         dst = flat_view(CAM, PoseSE3(np.eye(3), [4.0, 0.0, 0.0]), plane_z=2.0)
-        res = reproject(np.array([20.0, 100.0]), src, dst, self.PARAMS)
-        assert res.reason == RejectReason.OUT_OF_BOUNDS
+        _, _, reasons = reproject_points(np.array([[20.0, 100.0]]), src, dst, self.PARAMS)
+        assert reasons[0] == RejectReason.OUT_OF_BOUNDS
 
     def test_behind_camera_is_rejected(self):
         src = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
         dst = flat_view(CAM, PoseSE3(rotation([0, 1, 0], 180.0), [0.0, 0.0, 0.0]), plane_z=2.0)
-        res = reproject(np.array([150.0, 100.0]), src, dst, self.PARAMS)
-        assert res.reason == RejectReason.BEHIND_CAMERA
+        _, _, reasons = reproject_points(np.array([[150.0, 100.0]]), src, dst, self.PARAMS)
+        assert reasons[0] == RejectReason.BEHIND_CAMERA
 
     def test_missing_source_depth_is_rejected(self):
         vals = np.full((201, 301), 2.0)
@@ -378,13 +378,13 @@ class TestReproject:
         src = RenderedView(np.zeros((201, 301, 3), dtype=np.uint8), DepthMap(vals),
                            CAM, PoseSE3.identity())
         dst = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
-        res = reproject(np.array([150.0, 100.0]), src, dst, self.PARAMS)
-        assert res.reason == RejectReason.INVALID_DEPTH
+        _, _, reasons = reproject_points(np.array([[150.0, 100.0]]), src, dst, self.PARAMS)
+        assert reasons[0] == RejectReason.INVALID_DEPTH
 
     def test_source_pixel_outside_image_raises(self):
         view = flat_view(CAM, PoseSE3.identity(), plane_z=2.0)
         with pytest.raises(ValueError):
-            reproject(np.array([-5.0, 10.0]), view, view, self.PARAMS)
+            reproject_points(np.array([[-5.0, 10.0]]), view, view, self.PARAMS)
 
 
 class TestPose:

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -19,7 +20,8 @@ from reprojkit.scene import (
     look_at,
     render_view,
 )
-from reprojkit.textures import CheckerTexture, NoiseTexture, StripeTexture, _as_color
+from reprojkit.textures import (CheckerTexture, NoiseTexture, StripeTexture, _as_color,
+                                _lattice_hash)
 
 CAM = default_cam(width=81, height=61, f=60.0)
 CHECKER = CheckerTexture(scale=0.1)
@@ -413,6 +415,28 @@ class TestTextures:
         a = NoiseTexture(seed=1).sample(u, u)
         b = NoiseTexture(seed=2).sample(u, u)
         assert np.abs(a - b).max() > 1e-3
+
+    def test_lattice_hash_wraps_seed_product_without_warning(self):
+        # splitmix-style hash in Python ints, each product reduced mod 2**64
+        def oracle(x, y, seed):
+            mask = (1 << 64) - 1
+            h = (x * 0x9E3779B97F4A7C15 + y * 0xC2B2AE3D27D4EB4F
+                 + seed * 0x165667B19E3779F9) & mask
+            h ^= h >> 30
+            h = h * 0xBF58476D1CE4E5B9 & mask
+            h ^= h >> 27
+            h = h * 0x94D049BB133111EB & mask
+            h ^= h >> 31
+            return (h >> 11) / float(1 << 53)
+
+        ix = np.array([-3, 0, 1, 7, 2**40])
+        iy = np.array([5, 0, -1, 2**33, 9])
+        for seed in range(64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _lattice_hash(ix, iy, seed)
+            want = [oracle(int(x) % 2**64, int(y) % 2**64, seed) for x, y in zip(ix, iy)]
+            assert got.tolist() == want, seed
 
 
 class TestTrajectories:
