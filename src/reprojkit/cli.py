@@ -222,25 +222,70 @@ def labels(config_path, seed, out, threads):
     click.echo(f"labelled {len(labels_all)} frames ({total} points) -> {path}")
 
 
-def _matched_points(view1, view2, ev):
+def _eval_pairs(data, drawn, ev, one, threads) -> list:
+    """``[one(i, j, feats_i, feats_j) for i, j in drawn]``, each drawn frame
+    read and described once.
+
+    ``feats_f`` is ``frontend.features`` of ``data.view(f).image`` with the
+    ``eval`` detection knobs. Frames are described in index order and a
+    pair runs once its later frame ``j`` is described, so pairs run in
+    order of ``j``; their results come back in drawn order. A frame's
+    features are dropped when its last pair has been submitted.
+    Description and pairs share one pool of ``threads`` workers, each with
+    at most ``2 * threads`` calls in flight, so at most ``max_offset + 1 +
+    6 * threads`` frames' features are alive at once (``max_offset`` is
+    the largest drawn ``j - i``): the frames in ``[j - max_offset, j]``
+    that still wait for a pair, one per description in flight and two per
+    pair in flight.
+    """
     knobs = dict(k=ev.detect_k, nms_radius=ev.nms_radius,
                  threshold=ev.detect_threshold, dim=ev.descriptor_dim)
-    pts1, d1 = frontend.features(view1.image, **knobs)
-    pts2, d2 = frontend.features(view2.image, **knobs)
+    order = sorted(range(len(drawn)), key=lambda p: (drawn[p][1], p))
+    last = {f: n for n, p in enumerate(order) for f in drawn[p]}
+    frames = sorted(last)
+    window = 2 * threads
+
+    def describe_frame(f):
+        # the full view, so a corrupt image or depth file is a data error
+        return frontend.features(data.view(f).image, **knobs)
+
+    def jobs(described):
+        held, latest = {}, -1
+        for n, p in enumerate(order):
+            i, j = drawn[p]
+            while latest < j:
+                latest, feats = next(described)
+                held[latest] = feats
+            yield i, j, held[i], held[j]
+            for f in (i, j):
+                if last[f] == n:
+                    del held[f]
+
+    rows = [None] * len(drawn)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        described = zip(frames, _bounded_map(pool, describe_frame, frames, window))
+        done = _bounded_map(pool, lambda job: one(*job), jobs(described), window)
+        for p, row in zip(order, done):
+            rows[p] = row
+    return rows
+
+
+def _matched_points(feats1, feats2, ev):
+    (pts1, d1), (pts2, d2) = feats1, feats2
     m = frontend.match_mnn(d1, d2, ratio=ev.match_ratio)
-    return pts1, pts2, pts1[m.indices1], pts2[m.indices2]
+    return pts1[m.indices1], pts2[m.indices2]
 
 
-def _plane_homography(plane: Plane, view1, view2) -> np.ndarray:
+def _plane_homography(plane: Plane, pose1, pose2, cam) -> np.ndarray:
     """Analytic image-to-image homography induced by a world plane."""
-    R, t = relative_pose(view1.pose, view2.pose)
+    R, t = relative_pose(pose1, pose2)
     n_w = np.asarray(plane.normal)
-    n1 = view1.pose.rotation.T @ n_w
-    delta = float(n_w @ (np.asarray(plane.origin) - view1.pose.translation))
+    n1 = pose1.rotation.T @ n_w
+    delta = float(n_w @ (np.asarray(plane.origin) - pose1.translation))
     if abs(delta) < 1e-9:
         raise EstimationFailedError("camera center lies on the scene plane")
-    K = view1.cam.matrix
-    H = view2.cam.matrix @ (R + np.outer(t, n1) / delta) @ np.linalg.inv(K)
+    K = cam.matrix
+    H = K @ (R + np.outer(t, n1) / delta) @ np.linalg.inv(K)
     return H / H[2, 2]
 
 
@@ -250,14 +295,14 @@ def _eval_homography(cfg: RunConfig, data, drawn, threads) -> dict:
         raise ConfigError("homography evaluation needs a plane-only scene")
     plane = spec.primitives[0]
     ev = cfg.eval
+    cam = data.cam
+    dims = (cam.height, cam.width)
 
-    def one(ij):
-        i, j = ij
-        v1, v2 = data.view(i), data.view(j)
-        H_gt = _plane_homography(plane, v1, v2)
-        pts1, pts2, mpts1, mpts2 = _matched_points(v1, v2, ev)
-        dims = (v1.cam.height, v1.cam.width)
-        gt = HomographyMap(H_gt, dims, (v2.cam.height, v2.cam.width))
+    def one(i, j, feats1, feats2):
+        H_gt = _plane_homography(plane, data.frames[i].pose, data.frames[j].pose, cam)
+        pts1, pts2 = feats1[0], feats2[0]
+        mpts1, mpts2 = _matched_points(feats1, feats2, ev)
+        gt = HomographyMap(H_gt, dims, dims)
         try:
             est = estimate_homography(mpts1, mpts2,
                                       threshold=ev.homography_threshold_px,
@@ -272,8 +317,7 @@ def _eval_homography(cfg: RunConfig, data, drawn, threads) -> dict:
                             gt, eps=ev.pixel_eps)
         return err, rep, acc, ms
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(one, drawn))
+    rows = _eval_pairs(data, drawn, ev, one, threads)
     errors = np.array([r[0] for r in rows])
     results = {"pairs": len(rows), "failed": int(np.isinf(errors).sum())}
     for t in ev.homography_auc_px:
@@ -290,13 +334,11 @@ def _eval_homography(cfg: RunConfig, data, drawn, threads) -> dict:
 def _eval_pose(cfg: RunConfig, data, drawn, threads) -> dict:
     ev = cfg.eval
 
-    def one(ij):
-        i, j = ij
-        v1, v2 = data.view(i), data.view(j)
-        R_gt, t_gt = relative_pose(v1.pose, v2.pose)
-        _, _, mpts1, mpts2 = _matched_points(v1, v2, ev)
+    def one(i, j, feats1, feats2):
+        R_gt, t_gt = relative_pose(data.frames[i].pose, data.frames[j].pose)
+        mpts1, mpts2 = _matched_points(feats1, feats2, ev)
         try:
-            est = estimate_essential(mpts1, mpts2, v1.cam, v2.cam,
+            est = estimate_essential(mpts1, mpts2, data.cam, data.cam,
                                      threshold_px=ev.essential_threshold_px,
                                      iterations=ev.ransac_iterations,
                                      rng=_derive_seed(cfg.seed, 4, i, j))
@@ -304,8 +346,7 @@ def _eval_pose(cfg: RunConfig, data, drawn, threads) -> dict:
             est = None
         return PosePairRecord(est, R_gt, t_gt)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = list(pool.map(one, drawn))
+    records = _eval_pairs(data, drawn, ev, one, threads)
     split = pose_split_eval(records, split=ev.translation_split,
                             thresholds=ev.pose_auc_deg)
 
@@ -370,7 +411,8 @@ def eval_cmd(task, config_path, seed, out, threads):
     eval_sampling = PairSamplingParams(min_offset=cfg.eval.pair_min_offset,
                                        max_offset=cfg.eval.pair_max_offset)
     drawn = _sampled_pairs(cfg, len(data), eval_sampling)
-    # each pair's worker reads its two views, so memory follows pairs in flight
+    # pose and homography describe each drawn frame once; register reads its
+    # two views in each pair's worker, so its memory follows pairs in flight
     results = _EVAL_TASKS[task](cfg, data, drawn, threads)
     _write_report(cfg, f"eval-{task}", results)
     click.echo(f"eval {task}: {len(drawn)} pairs, {results['failed']} failed")

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from reprojkit import cli, losses
-from reprojkit.config import canonical_json, load_scene, scene_to_dict
-from reprojkit.errors import InvalidSpecError
-from reprojkit.geometry import CameraIntrinsics, DepthMap, RenderedView
+from reprojkit import cli, frontend, losses
+from reprojkit.config import canonical_json, load_config, load_scene, scene_to_dict
+from reprojkit.dataset import Dataset
+from reprojkit.errors import EstimationFailedError, InvalidSpecError
+from reprojkit.evaluation import (HomographyMap, PosePairRecord, corner_error,
+                                  estimate_essential, estimate_homography,
+                                  matching_score, mma, repeatability)
+from reprojkit.geometry import CameraIntrinsics, DepthMap, RenderedView, relative_pose
 from reprojkit.scene import Plane, SceneSpec, Sphere
 from reprojkit.textures import CheckerTexture, NoiseTexture
 
@@ -450,8 +454,9 @@ class TestEval:
 
     @pytest.mark.parametrize("task", ["pose", "register"])
     def test_corrupt_frame_is_a_data_error(self, runner, tmp_path, task):
-        # views are read inside each pair's worker; a bad file must still
-        # end the run with exit 2, not count as a failed pair
+        # pose reads each drawn frame once before its pairs run, register
+        # reads views in each pair's worker; either way a bad file must end
+        # the run with exit 2, not count as a failed pair
         out = tmp_path / "run"
         cfg = small_config_file(tmp_path, out)
         assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
@@ -473,6 +478,187 @@ class TestEval:
         assert "command" in keys
         assert "config.seed" in keys
         assert any(k.startswith("results.rotation") for k in keys)
+
+
+def old_pair_row(task, cfg, data, i, j):
+    """One pair as `eval` computed it when each pair's worker read its two
+    views and described both frames itself."""
+    ev = cfg.eval
+    v1, v2 = data.view(i), data.view(j)
+    knobs = dict(k=ev.detect_k, nms_radius=ev.nms_radius,
+                 threshold=ev.detect_threshold, dim=ev.descriptor_dim)
+    pts1, d1 = frontend.features(v1.image, **knobs)
+    pts2, d2 = frontend.features(v2.image, **knobs)
+    m = frontend.match_mnn(d1, d2, ratio=ev.match_ratio)
+    mpts1, mpts2 = pts1[m.indices1], pts2[m.indices2]
+    if task == "pose":
+        R_gt, t_gt = relative_pose(v1.pose, v2.pose)
+        try:
+            est = estimate_essential(mpts1, mpts2, v1.cam, v2.cam,
+                                     threshold_px=ev.essential_threshold_px,
+                                     iterations=ev.ransac_iterations,
+                                     rng=cli._derive_seed(cfg.seed, 4, i, j))
+        except EstimationFailedError:
+            est = None
+        return PosePairRecord(est, R_gt, t_gt)
+    plane = load_scene(cfg.scene)[0].primitives[0]
+    R, t = relative_pose(v1.pose, v2.pose)
+    n1 = v1.pose.rotation.T @ np.asarray(plane.normal)
+    delta = float(np.asarray(plane.normal) @ (np.asarray(plane.origin) - v1.pose.translation))
+    H_gt = v2.cam.matrix @ (R + np.outer(t, n1) / delta) @ np.linalg.inv(v1.cam.matrix)
+    H_gt = H_gt / H_gt[2, 2]
+    dims = (v1.cam.height, v1.cam.width)
+    gt = HomographyMap(H_gt, dims, (v2.cam.height, v2.cam.width))
+    try:
+        est = estimate_homography(mpts1, mpts2, threshold=ev.homography_threshold_px,
+                                  iterations=ev.ransac_iterations,
+                                  rng=cli._derive_seed(cfg.seed, 3, i, j))
+        err = corner_error(est.H, H_gt, dims)
+    except EstimationFailedError:
+        err = np.inf
+    rep = repeatability(pts1, pts2, gt, eps=ev.pixel_eps)
+    acc = mma(mpts1, mpts2, gt, eps=ev.pixel_eps) if len(mpts1) else None
+    ms = matching_score(mpts1, mpts2, max(min(len(pts1), len(pts2)), 1),
+                        gt, eps=ev.pixel_eps)
+    return err, rep, acc, ms
+
+
+def row_bytes(row):
+    """A pair's row from ``cli._eval_pairs`` as bytes, for exact comparison."""
+    if isinstance(row, PosePairRecord):
+        est = row.estimate
+        fit = None if est is None else (est.rotation.tobytes(), est.translation.tobytes())
+        return fit, row.gt_rotation.tobytes(), row.gt_translation.tobytes()
+    return tuple(None if v is None else np.float64(v).tobytes() for v in row)
+
+
+class TestEvalDescribesEachFrameOnce:
+    """`eval pose` and `eval homography` read and describe every drawn frame
+    once (`cli._eval_pairs`), not once per pair it appears in."""
+
+    def synth(self, runner, tmp_path, task, **extra):
+        out = tmp_path / "run"
+        cfg = small_config_file(tmp_path, out, plane_only=task == "homography", **extra)
+        assert runner.invoke(cli.main, ["synth", "-c", str(cfg)]).exit_code == 0
+        return out, cfg
+
+    def run_eval(self, runner, cfg, task, threads):
+        res = runner.invoke(cli.main, ["eval", "--task", task, "-c", str(cfg),
+                                       "--threads", str(threads)])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("task", ["pose", "homography"])
+    def test_rows_and_reports_equal_the_per_pair_path(self, runner, tmp_path,
+                                                      monkeypatch, task):
+        out, cfg_path = self.synth(runner, tmp_path, task, n_pairs=12)
+        cfg = load_config(cfg_path)
+        expected_rows = []
+
+        def per_pair(data, drawn, ev, one, threads):
+            expected_rows[:] = [old_pair_row(task, cfg, data, i, j) for i, j in drawn]
+            return expected_rows
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_eval_pairs", per_pair)
+            self.run_eval(runner, cfg_path, task, threads=1)
+        expected = ((out / "report.json").read_bytes(), (out / "report.csv").read_bytes())
+        assert read_report(out)["results"]["failed"] < len(expected_rows)
+        real_eval_pairs, seen, rows = cli._eval_pairs, [], []
+
+        def capture(data, drawn, *args):
+            seen.append(list(drawn))
+            rows[:] = real_eval_pairs(data, drawn, *args)
+            return rows
+
+        monkeypatch.setattr(cli, "_eval_pairs", capture)
+        for threads in (1, 2, 3):
+            (out / "report.json").unlink()
+            self.run_eval(runner, cfg_path, task, threads=threads)
+            assert [row_bytes(r) for r in rows] == [row_bytes(r) for r in expected_rows]
+            got = ((out / "report.json").read_bytes(), (out / "report.csv").read_bytes())
+            assert got == expected
+        # the draw repeats a pair, shares frames between pairs and is not in
+        # order of the later frame, so the reordering and reuse are exercised
+        drawn = seen[0]
+        assert len(set(drawn)) < len(drawn)
+        assert drawn != sorted(drawn, key=lambda ij: ij[1])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("task", ["pose", "homography"])
+    def test_reads_and_describes_each_drawn_frame_once(self, runner, tmp_path,
+                                                       monkeypatch, task, threads):
+        _, cfg_path = self.synth(runner, tmp_path, task, n_pairs=12)
+        lock, in_pair = threading.Lock(), threading.local()
+        images, views, described, views_in_pairs, drawn = {}, [], [], [], []
+        real_view, real_features = Dataset.view, frontend.features
+        real_eval_pairs = cli._eval_pairs
+
+        def view(self, i):
+            v = real_view(self, i)
+            with lock:
+                views.append(i)
+                images[i] = v.image
+                if getattr(in_pair, "on", False):
+                    views_in_pairs.append(i)
+            return v
+
+        def features(image, *args, **kwargs):
+            with lock:
+                described.extend(f for f, im in images.items() if im is image)
+            return real_features(image, *args, **kwargs)
+
+        def eval_pairs(data, pairs, ev, one, threads):
+            drawn.extend(pairs)
+
+            def marked(*job):
+                in_pair.on = True
+                try:
+                    return one(*job)
+                finally:
+                    in_pair.on = False
+
+            return real_eval_pairs(data, pairs, ev, marked, threads)
+
+        monkeypatch.setattr(Dataset, "view", view)
+        monkeypatch.setattr(frontend, "features", features)
+        monkeypatch.setattr(cli, "_eval_pairs", eval_pairs)
+        self.run_eval(runner, cfg_path, task, threads)
+        frames = sorted({f for ij in drawn for f in ij})
+        assert len(frames) < 2 * len(drawn)
+        assert sorted(views) == frames
+        assert sorted(described) == frames
+        assert views_in_pairs == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_holds_a_bounded_number_of_frames_features(self, runner, tmp_path,
+                                                       monkeypatch, threads):
+        max_offset = 3
+        _, cfg_path = self.synth(
+            runner, tmp_path, "pose", size=(32, 32), n_pairs=60,
+            trajectory={"kind": "line", "frames": 100},
+            eval={"pair_min_offset": 1, "pair_max_offset": max_offset,
+                  "detect_k": 16, "ransac_iterations": 20})
+        alive, peak, lock, calls = set(), [0], threading.Lock(), [0]
+        real_features = frontend.features
+
+        def forget(n):
+            with lock:
+                alive.discard(n)
+
+        def features(image, *args, **kwargs):
+            xy, desc = real_features(image, *args, **kwargs)
+            with lock:
+                n = calls[0] = calls[0] + 1
+                alive.add(n)
+                peak[0] = max(peak[0], len(alive))
+            weakref.finalize(desc, forget, n)
+            return xy, desc
+
+        monkeypatch.setattr(frontend, "features", features)
+        self.run_eval(runner, cfg_path, "pose", threads)
+        assert calls[0] > 50
+        # the bound that cli._eval_pairs states
+        assert peak[0] <= max_offset + 1 + 6 * threads
 
 
 class TestLosscheck:
