@@ -1,15 +1,18 @@
 """Command-line pipeline: synthesis, correspondences, labels, evaluation.
 
-Exit codes: 0 success, 1 configuration error, 2 data error,
-3 check failure. Reports are written as ``report.json`` and
-``report.csv`` in the output directory without timestamps, so re-runs
-with the same config and seed are byte-identical.
+Every command is a body run in one frame, ``_stage``: load the config and
+apply ``--seed``/``--out``, read the dataset in the output directory if the
+command has one, run the body, write its results as ``report.json`` and
+``report.csv`` there and echo its summary. Exit codes: 0 success, 1
+configuration error, 2 data error (no report is written), 3 check failure
+(the report is written and its results say ``"passed": false``). Reports
+hold no timestamps, so re-runs with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -78,7 +81,7 @@ def _flatten(data, prefix=""):
     return rows
 
 
-def _write_report(cfg: RunConfig, command: str, results: dict) -> Path:
+def _write_report(cfg: RunConfig, command: str, results: dict) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, "config": config_to_dict(cfg), "results": results}
@@ -86,42 +89,63 @@ def _write_report(cfg: RunConfig, command: str, results: dict) -> Path:
     lines = ["key,value"]
     lines += [f"{k},{v}" for k, v in sorted(_flatten(payload))]
     (out / "report.csv").write_text("\n".join(lines) + "\n")
-    return out / "report.json"
 
 
-def _load_run_config(config_path, seed, out) -> RunConfig:
-    cfg = load_config(config_path) if config_path else default_config()
-    if seed is not None:
-        try:
-            cfg = replace(cfg, seed=seed)
-        except InvalidSpecError as e:
-            raise ConfigError(f"invalid --seed: {e}") from e
-    if out is not None:
-        cfg = replace(cfg, output_dir=str(out))
-    return cfg
+@click.group()
+def main():
+    """Synthetic multi-view pipeline and evaluation toolkit."""
 
 
-def _common_options(f):
-    @click.option("--config", "-c", "config_path", default=None,
-                  type=click.Path(), help="JSON run config; defaults apply without it.")
-    @click.option("--seed", type=int, default=None, help="Master seed override.")
-    @click.option("--out", type=click.Path(), default=None,
-                  help="Output directory override.")
-    @click.option("--threads", type=click.IntRange(min=1), default=1,
-                  help="Worker threads for synth, pairs and eval; labels and losscheck "
-                       "run on one. Results are identical for any value.")
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except ConfigError as e:
-            click.echo(f"config error: {e}", err=True)
-            sys.exit(1)
-        except (ReprojkitError, OSError) as e:
-            click.echo(f"data error: {e}", err=True)
-            sys.exit(2)
+def _stage(name, *options, dataset=True):
+    """Register the decorated body as the command ``name``, run in the frame.
 
-    return wrapper
+    ``options`` are the command's own; the four shared ones follow them.
+    The body is called as ``body(cfg, data, threads, **own_options)``, with
+    ``data`` None unless ``dataset``, and returns ``(command, results,
+    summary)``: the report's command name, its results and the text echoed.
+    """
+    shared = (
+        click.option("--config", "-c", "config_path", default=None,
+                     type=click.Path(), help="JSON run config; defaults apply without it."),
+        click.option("--seed", type=int, default=None, help="Master seed override."),
+        click.option("--out", type=click.Path(), default=None,
+                     help="Output directory override."),
+        click.option("--threads", type=click.IntRange(min=1), default=1,
+                     help="Worker threads for synth, pairs and eval; labels and losscheck "
+                          "run on one. Results are identical for any value."),
+    )
+
+    def register(body):
+        @functools.wraps(body)
+        def command(config_path, seed, out, threads, **own):
+            try:
+                cfg = load_config(config_path) if config_path else default_config()
+                if seed is not None:
+                    try:
+                        cfg = replace(cfg, seed=seed)
+                    except InvalidSpecError as e:
+                        raise ConfigError(f"invalid --seed: {e}") from e
+                if out is not None:
+                    cfg = replace(cfg, output_dir=str(out))
+                data = read_dataset(cfg.output_dir) if dataset else None
+                report_name, results, summary = body(cfg, data, threads, **own)
+                _write_report(cfg, report_name, results)
+                click.echo(summary)
+            except ConfigError as e:
+                click.echo(f"config error: {e}", err=True)
+                sys.exit(1)
+            except (ReprojkitError, OSError) as e:
+                click.echo(f"data error: {e}", err=True)
+                sys.exit(2)
+            if not results.get("passed", True):
+                click.echo(f"{report_name}: check failed", err=True)
+                sys.exit(3)
+
+        for option in reversed((*options, *shared)):
+            command = option(command)
+        return main.command(name)(command)
+
+    return register
 
 
 def _bounded_map(pool, fn, items, window: int):
@@ -146,16 +170,9 @@ def _bounded_map(pool, fn, items, window: int):
             future.cancel()
 
 
-@click.group()
-def main():
-    """Synthetic multi-view pipeline and evaluation toolkit."""
-
-
-@main.command()
-@_common_options
-def synth(config_path, seed, out, threads):
+@_stage("synth", dataset=False)
+def synth(cfg, data, threads):
     """Render the configured trajectory into an RGB-D dataset."""
-    cfg = _load_run_config(config_path, seed, out)
     spec, cam = load_scene(cfg.scene)
     poses = generate_trajectory(cfg.trajectory)
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -163,9 +180,9 @@ def synth(config_path, seed, out, threads):
         views = _bounded_map(pool, lambda a: render_view(spec, cam, a[1], index=a[0]),
                              enumerate(poses), window=2 * threads)
         write_dataset(views, cfg.output_dir)
-    _write_report(cfg, "synth", {"frames": len(poses), "seed": cfg.seed,
-                                 "width": cam.width, "height": cam.height})
-    click.echo(f"rendered {len(poses)} frames (seed {cfg.seed}) -> {cfg.output_dir}")
+    return ("synth", {"frames": len(poses), "seed": cfg.seed,
+                      "width": cam.width, "height": cam.height},
+            f"rendered {len(poses)} frames (seed {cfg.seed}) -> {cfg.output_dir}")
 
 
 def _sampled_pairs(cfg: RunConfig, n_frames: int, params=None) -> list[tuple[int, int]]:
@@ -174,12 +191,9 @@ def _sampled_pairs(cfg: RunConfig, n_frames: int, params=None) -> list[tuple[int
     return PairSampler(n_frames, params).draw(cfg.n_pairs)
 
 
-@main.command()
-@_common_options
-def pairs(config_path, seed, out, threads):
+@_stage("pairs")
+def pairs(cfg, data, threads):
     """Sample frame pairs and write their cell correspondences."""
-    cfg = _load_run_config(config_path, seed, out)
-    data = read_dataset(cfg.output_dir)
     drawn = _sampled_pairs(cfg, len(data))
     pair_dir = Path(cfg.output_dir) / "pairs"
     pair_dir.mkdir(parents=True, exist_ok=True)
@@ -198,18 +212,14 @@ def pairs(config_path, seed, out, threads):
     listing = "".join(f"{i} {j}\n" for i, j in drawn)
     (pair_dir / "list.txt").write_text(listing)
     offsets = [j - i for i, j in drawn]
-    _write_report(cfg, "pairs", {
-        "pairs": len(drawn), "positives": int(sum(counts)),
-        "min_offset": min(offsets), "max_offset": max(offsets)})
-    click.echo(f"wrote {len(drawn)} pair correspondences -> {pair_dir}")
+    return ("pairs", {"pairs": len(drawn), "positives": int(sum(counts)),
+                      "min_offset": min(offsets), "max_offset": max(offsets)},
+            f"wrote {len(drawn)} pair correspondences -> {pair_dir}")
 
 
-@main.command()
-@_common_options
-def labels(config_path, seed, out, threads):
+@_stage("labels")
+def labels(cfg, data, threads):
     """Aggregate multi-view detections into pseudo-labels per frame."""
-    cfg = _load_run_config(config_path, seed, out)
-    data = read_dataset(cfg.output_dir)
     params = replace(cfg.adaptation,
                      seed=_derive_seed(cfg.seed, cfg.adaptation.seed, 2))
     # frames are read lazily, each once, while a label window holds them
@@ -218,8 +228,8 @@ def labels(config_path, seed, out, threads):
     path = Path(cfg.output_dir) / "labels.txt"
     adapt.write_labels(labels_all, path)
     total = int(sum(len(lab.points) for lab in labels_all))
-    _write_report(cfg, "labels", {"frames": len(labels_all), "points": total})
-    click.echo(f"labelled {len(labels_all)} frames ({total} points) -> {path}")
+    return ("labels", {"frames": len(labels_all), "points": total},
+            f"labelled {len(labels_all)} frames ({total} points) -> {path}")
 
 
 def _eval_pairs(data, drawn, ev, one, threads) -> list:
@@ -401,44 +411,32 @@ _EVAL_TASKS = {"homography": _eval_homography, "pose": _eval_pose,
                "register": _eval_register}
 
 
-@main.command("eval")
-@click.option("--task", type=click.Choice(sorted(_EVAL_TASKS)), required=True)
-@_common_options
-def eval_cmd(task, config_path, seed, out, threads):
+@_stage("eval", click.option("--task", type=click.Choice(sorted(_EVAL_TASKS)), required=True))
+def eval_cmd(cfg, data, threads, task):
     """Run one evaluation protocol over sampled frame pairs."""
-    cfg = _load_run_config(config_path, seed, out)
-    data = read_dataset(cfg.output_dir)
     eval_sampling = PairSamplingParams(min_offset=cfg.eval.pair_min_offset,
                                        max_offset=cfg.eval.pair_max_offset)
     drawn = _sampled_pairs(cfg, len(data), eval_sampling)
     # pose and homography describe each drawn frame once; register reads its
     # two views in each pair's worker, so its memory follows pairs in flight
     results = _EVAL_TASKS[task](cfg, data, drawn, threads)
-    _write_report(cfg, f"eval-{task}", results)
-    click.echo(f"eval {task}: {len(drawn)} pairs, {results['failed']} failed")
+    return f"eval-{task}", results, f"eval {task}: {len(drawn)} pairs, {results['failed']} failed"
 
 
-@main.command()
-@click.option("--instances", type=click.IntRange(min=1), default=25,
-              help="Random instances per loss.")
-@_common_options
-def losscheck(instances, config_path, seed, out, threads):
+@_stage("losscheck", click.option("--instances", type=click.IntRange(min=1), default=25,
+                                  help="Random instances per loss."), dataset=False)
+def losscheck(cfg, data, threads, instances):
     """Verify analytic loss gradients against finite differences."""
-    cfg = _load_run_config(config_path, seed, out)
     rng = np.random.default_rng(_derive_seed(cfg.seed, 5))
     desc_err = max(losses.descriptor_fd_error(rng, cfg.loss) for _ in range(instances))
     det_err = max(losses.detector_fd_error(rng) for _ in range(instances))
     tol = 1e-3
-    passed = desc_err <= tol and det_err <= tol
-    _write_report(cfg, "losscheck", {
-        "instances": instances, "tolerance": tol,
-        "descriptor_max_rel_error": desc_err,
-        "detector_max_rel_error": det_err, "passed": passed})
-    click.echo(f"descriptor grad max rel error: {desc_err:.3e}")
-    click.echo(f"detector grad max rel error: {det_err:.3e}")
-    if not passed:
-        click.echo("gradient check failed", err=True)
-        sys.exit(3)
+    return ("losscheck", {"instances": instances, "tolerance": tol,
+                          "descriptor_max_rel_error": desc_err,
+                          "detector_max_rel_error": det_err,
+                          "passed": desc_err <= tol and det_err <= tol},
+            f"descriptor grad max rel error: {desc_err:.3e}\n"
+            f"detector grad max rel error: {det_err:.3e}")
 
 
 if __name__ == "__main__":

@@ -88,26 +88,13 @@ def detect(image: np.ndarray) -> np.ndarray:
     return lam / peak if peak > 0 else lam
 
 
-@dataclass(frozen=True)
-class KeypointSet:
-    """Detected points with scores, strongest first."""
-
-    xy: np.ndarray     # (N, 2) float
-    score: np.ndarray  # (N,)
-
-    def __len__(self) -> int:
-        return len(self.xy)
-
-
 def top_k(heatmap: np.ndarray, k: int, nms_radius: int = 4,
-          threshold: float = 0.0) -> KeypointSet:
-    """Non-maximum suppression followed by truncation to the k strongest."""
+          threshold: float = 0.0) -> np.ndarray:
+    """Non-maximum suppression truncated to the k strongest: (N, 2) float
+    (x, y) points, strongest first."""
     if k < 1:
         raise InvalidSpecError(f"k must be >= 1, got {k}")
-    pts = nms(heatmap, nms_radius, threshold)[:k]
-    scores = np.asarray(heatmap, dtype=np.float64)[pts[:, 1], pts[:, 0]] if len(pts) else \
-        np.zeros(0)
-    return KeypointSet(pts.astype(np.float64), scores)
+    return nms(heatmap, nms_radius, threshold)[:k].astype(np.float64)
 
 
 def describe(image: np.ndarray, xy: np.ndarray, dim: int = 128):
@@ -176,7 +163,7 @@ def features(image: np.ndarray, xy: np.ndarray | None = None, *, k: int | None =
     if xy is None:
         if k is None:
             raise InvalidSpecError("k is required when keypoints are detected")
-        xy = top_k(detect(image), k, nms_radius=nms_radius, threshold=threshold).xy
+        xy = top_k(detect(image), k, nms_radius=nms_radius, threshold=threshold)
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     desc, kept = describe(image, xy, dim=dim)
     return xy[kept], desc

@@ -46,13 +46,6 @@ class CameraIntrinsics:
                 f"{self.width}x{self.height}"
             )
 
-    @classmethod
-    def from_horizontal_fov(cls, fov_deg: float, width: int, height: int) -> "CameraIntrinsics":
-        """Square-pixel intrinsics with the given horizontal field of view."""
-        fx = (width / 2.0) / np.tan(np.radians(fov_deg) / 2.0)
-        return cls(fx=fx, fy=fx, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
-                   width=width, height=height)
-
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.fx, 0.0, self.cx],

@@ -253,7 +253,7 @@ def test_07_adaptation_keeps_single_dominant_corner(capsys):
     heat = frontend.detect(views[0].image)
     ref = frontend.top_k(heat, 10, nms_radius=params.nms_radius,
                          threshold=params.threshold)
-    one_ref = len(ref.xy) == 1
+    one_ref = len(ref) == 1
 
     stable = True
     dist = np.inf
@@ -263,7 +263,7 @@ def test_07_adaptation_keeps_single_dominant_corner(capsys):
         if len(labs.points) != 1:
             stable = False
             break
-        dist = float(np.linalg.norm(labs.points[0] - ref.xy[0]))
+        dist = float(np.linalg.norm(labs.points[0] - ref[0]))
         if dist > 1.0:
             stable = False
             break

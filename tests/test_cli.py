@@ -705,6 +705,60 @@ class TestLosscheck:
         assert read_report(out)["results"]["passed"] is False
 
 
+class TestStageFrame:
+    """Every command runs in one frame: shared options, config overrides,
+    dataset read and report."""
+
+    # report command name -> (argv, the command's own option names)
+    STAGES = {
+        "synth": (["synth"], []),
+        "pairs": (["pairs"], []),
+        "labels": (["labels"], []),
+        "eval-homography": (["eval", "--task", "homography"], ["task"]),
+        "eval-pose": (["eval", "--task", "pose"], ["task"]),
+        "eval-register": (["eval", "--task", "register"], ["task"]),
+        "losscheck": (["losscheck", "--instances", "1"], ["instances"]),
+    }
+    WITH_DATASET = ["pairs", "labels", "eval-homography", "eval-pose", "eval-register"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_shared_options_follow_own_options(self, stage):
+        argv, own = self.STAGES[stage]
+        params = [p.name for p in cli.main.commands[argv[0]].params]
+        assert params == own + ["config_path", "seed", "out", "threads"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_seed_and_out_land_in_report(self, runner, tmp_path, stage):
+        argv, _ = self.STAGES[stage]
+        out = tmp_path / "elsewhere"
+        cfg = small_config_file(tmp_path, tmp_path / "unused", plane_only=True)
+        if stage in self.WITH_DATASET:
+            res = runner.invoke(cli.main, ["synth", "-c", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        res = runner.invoke(cli.main, [*argv, "-c", str(cfg), "--seed", "11",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rep = read_report(out)
+        assert rep["command"] == stage
+        assert rep["config"]["seed"] == 11
+        assert rep["config"]["output_dir"] == str(out)
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("stage", WITH_DATASET)
+    def test_missing_manifest_exits_2_and_keeps_the_report(self, runner, tmp_path, stage):
+        argv, _ = self.STAGES[stage]
+        out = tmp_path / "run"
+        out.mkdir()
+        before = {name: f"previous {name}\n".encode() for name in ("report.json", "report.csv")}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        cfg = small_config_file(tmp_path, out, plane_only=True)
+        res = runner.invoke(cli.main, [*argv, "-c", str(cfg)])
+        assert res.exit_code == 2
+        assert "data error:" in res.output
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+
 # runs one CLI command in a fresh interpreter, then prints the scipy
 # modules that command loaded as the last line of stderr
 _LOADED_SCIPY = """\

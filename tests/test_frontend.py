@@ -156,8 +156,8 @@ class TestTopK:
         heat[5, 5] = 0.4
         heat[20, 20] = 0.9
         kps = top_k(heat, 1, nms_radius=4)
-        np.testing.assert_array_equal(kps.xy, [[20, 20]])
-        np.testing.assert_allclose(kps.score, [0.9])
+        np.testing.assert_array_equal(kps, [[20, 20]])
+        np.testing.assert_allclose(heat[kps[:, 1].astype(int), kps[:, 0].astype(int)], [0.9])
 
     def test_k_exceeding_detections_returns_all(self):
         heat = np.zeros((30, 30))
@@ -168,8 +168,9 @@ class TestTopK:
 
     def test_scores_descend(self):
         rng = np.random.default_rng(2)
-        kps = top_k(rng.random((50, 50)), 20, nms_radius=3)
-        assert (np.diff(kps.score) <= 0).all()
+        heat = rng.random((50, 50))
+        kps = top_k(heat, 20, nms_radius=3).astype(int)
+        assert (np.diff(heat[kps[:, 1], kps[:, 0]]) <= 0).all()
 
     def test_k_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -249,10 +250,10 @@ class TestFeatures:
         for view in rendered_frames(kind)[:3]:
             kps = top_k(detect(view.image), knobs["k"], nms_radius=knobs["nms_radius"],
                         threshold=knobs["threshold"])
-            want_desc, kept = describe(view.image, kps.xy, dim=knobs["dim"])
+            want_desc, kept = describe(view.image, kps, dim=knobs["dim"])
             xy, desc = features(view.image, **knobs)
             assert len(kept) > 0
-            np.testing.assert_array_equal(xy, kps.xy[kept])
+            np.testing.assert_array_equal(xy, kps[kept])
             np.testing.assert_array_equal(desc, want_desc)
 
     @pytest.mark.parametrize("kind", ["general", "hires"])
@@ -417,7 +418,7 @@ class TestCheckerboardRecovery:
         kps = top_k(detect(view.image), len(corners) + 30, nms_radius=4, threshold=0.015)
         hits = 0
         for c in corners:
-            if len(kps) and np.hypot(*(kps.xy - c).T).min() <= 2.0:
+            if len(kps) and np.hypot(*(kps - c).T).min() <= 2.0:
                 hits += 1
         assert hits / len(corners) >= 0.95
 

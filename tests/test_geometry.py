@@ -448,8 +448,3 @@ class TestValidation:
             ReprojectionParams(depth_eps=0.03, window=4)
         with pytest.raises(ValueError):
             ReprojectionParams(depth_eps=0.0, window=5)
-
-    def test_fov_constructor(self):
-        cam = CameraIntrinsics.from_horizontal_fov(90.0, 640, 480)
-        assert cam.fx == pytest.approx(320.0)
-        assert cam.cx == pytest.approx(319.5)
