@@ -9,10 +9,6 @@ class InvalidDepthError(ReprojkitError, ValueError):
     """Depth value is missing, non-positive, or non-finite."""
 
 
-class BehindCameraError(ReprojkitError, ValueError):
-    """3D point projects behind the camera plane."""
-
-
 class InvalidSpecError(ReprojkitError, ValueError):
     """Scene or trajectory specification violates its invariants."""
 

@@ -9,8 +9,11 @@ import numpy as np
 from ..errors import DegenerateConfigurationError, EstimationFailedError, ShapeError
 # `describe` stays bound, though unused, for perfbench's tracer binding check
 from ..frontend import describe, features, match_mnn  # noqa: F401
-from ..geometry import RenderedView, relative_pose
+from ..geometry import PoseSE3, RenderedView, backproject, relative_pose
 from .pose import rotation_error_deg
+
+GRID_STEP = 4   # pixel spacing of the keypoint grid each view is described on
+CLOUD_STEP = 4  # stride through view1's valid pixels that forms the chamfer cloud
 
 
 def kabsch_weighted(P: np.ndarray, Q: np.ndarray, weights=None):
@@ -63,14 +66,17 @@ def chamfer_distance(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def lift_to_camera(view: RenderedView, xy: np.ndarray):
-    """3D camera-frame points for integer pixels with valid depth."""
+    """Camera-frame points for the pixels nearest ``xy``, and the mask of
+    those with valid depth; rows without depth are zeros."""
     xy = np.atleast_2d(np.asarray(xy))
     xi = np.rint(xy[:, 0]).astype(int)
     yi = np.rint(xy[:, 1]).astype(int)
     ok = view.depth.valid[yi, xi]
-    rays = view.cam.pixel_rays(np.column_stack([xi, yi]).astype(np.float64))
-    dirs = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-    return dirs * view.depth.values[yi, xi][:, None], ok
+    xi, yi = xi[ok], yi[ok]
+    points = np.zeros((len(ok), 3))
+    points[ok] = backproject(np.column_stack([xi, yi]).astype(np.float64),
+                             view.depth.values[yi, xi], view.cam, PoseSE3.identity())
+    return points, ok
 
 
 def _grid_keypoints(view: RenderedView, step: int, border: int = 8):
@@ -91,16 +97,15 @@ class RegistrationResult:
 
 
 def register_pair(view1: RenderedView, view2: RenderedView, ratio: float = 0.8,
-                  grid_step: int = 4, dim: int = 128,
-                  cloud_step: int = 4) -> RegistrationResult:
+                  dim: int = 128) -> RegistrationResult:
     """Descriptor matching on a dense grid, depth lifting, weighted Kabsch.
 
     Match similarities weight the alignment (negatives clipped to zero).
     The chamfer distance compares view1's cloud moved by the estimated
     transform vs the ground-truth one, in view2's camera frame.
     """
-    kp1, d1 = features(view1.image, _grid_keypoints(view1, grid_step), dim=dim)
-    kp2, d2 = features(view2.image, _grid_keypoints(view2, grid_step), dim=dim)
+    kp1, d1 = features(view1.image, _grid_keypoints(view1, GRID_STEP), dim=dim)
+    kp2, d2 = features(view2.image, _grid_keypoints(view2, GRID_STEP), dim=dim)
     matches = match_mnn(d1, d2, ratio=ratio)
     if len(matches) == 0:
         raise EstimationFailedError("no descriptor matches to register")
@@ -119,8 +124,7 @@ def register_pair(view1: RenderedView, view2: RenderedView, ratio: float = 0.8,
     t_err_cm = float(np.linalg.norm(t - t_gt) * 100.0)
 
     ys, xs = np.nonzero(view1.depth.valid)
-    sel = slice(None, None, cloud_step)
-    cloud, _ = lift_to_camera(view1, np.column_stack([xs[sel], ys[sel]]))
+    cloud, _ = lift_to_camera(view1, np.column_stack([xs[::CLOUD_STEP], ys[::CLOUD_STEP]]))
     est_cloud = cloud @ R.T + t
     gt_cloud = cloud @ R_gt.T + t_gt
     chamfer_cm = chamfer_distance(est_cloud, gt_cloud) * 100.0

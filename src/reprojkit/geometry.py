@@ -20,10 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidDepthError, ShapeError
+from .errors import InvalidDepthError, ShapeError
 
 # Minimum camera-frame z for a point to count as in front of the camera.
 MIN_FRONT_Z = 1e-9
+# How far outside the image border a landing still counts as inside: a
+# pixel reprojected onto itself can come back at -1e-16.
+BORDER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,17 +73,13 @@ class CameraIntrinsics:
         dirs.flags.writeable = False
         return dirs
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """True where (..., 2) pixel locations fall inside the image.
-
-        ``tol`` absorbs round-trip noise for landings mathematically on
-        the border (a pixel reprojected onto itself can come back at
-        -1e-16).
-        """
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """True where (..., 2) pixel locations fall inside the image, up to
+        ``BORDER_TOL``."""
         points = np.asarray(points, dtype=np.float64)
         x, y = points[..., 0], points[..., 1]
-        return ((x >= -tol) & (x <= self.width - 1.0 + tol)
-                & (y >= -tol) & (y <= self.height - 1.0 + tol))
+        return ((x >= -BORDER_TOL) & (x <= self.width - 1.0 + BORDER_TOL)
+                & (y >= -BORDER_TOL) & (y <= self.height - 1.0 + BORDER_TOL))
 
 
 @dataclass(frozen=True)
@@ -236,23 +235,6 @@ def backproject(p: np.ndarray, d, cam: CameraIntrinsics, pose: PoseSE3) -> np.nd
     return pose.camera_to_world(dirs * d[..., None])
 
 
-def project(P: np.ndarray, cam: CameraIntrinsics, pose: PoseSE3):
-    """Project 3D world point(s) into a camera; returns (pixel, camera z).
-
-    Raises BehindCameraError if any point has camera-frame z <= 1e-9.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    if np.any(~np.isfinite(P)):
-        raise ValueError("3D points must be finite")
-    X = pose.world_to_camera(P)
-    z = X[..., 2]
-    if np.any(z <= MIN_FRONT_Z):
-        raise BehindCameraError("point is behind the camera")
-    pix = np.stack([cam.fx * X[..., 0] / z + cam.cx,
-                    cam.fy * X[..., 1] / z + cam.cy], axis=-1)
-    return pix, z
-
-
 def apply_homography(H: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Map (N, 2) pixels through a 3x3 homography, or through each of a
     stack (B, 3, 3) of them into (B, N, 2).
@@ -374,23 +356,13 @@ def _land_points(world: np.ndarray, dst: RenderedView, dst_robust: DepthMap,
     return targets, depths, reasons
 
 
-def reproject_points(
-    points: np.ndarray,
-    src: RenderedView,
-    dst: RenderedView,
-    params: ReprojectionParams,
-    *,
-    src_robust: DepthMap | None = None,
-    dst_robust: DepthMap | None = None,
-):
+def reproject_points(points: np.ndarray, src: RenderedView, dst: RenderedView,
+                     params: ReprojectionParams):
     """Reproject (N, 2) src pixels into dst through geometry and depth.
 
     Returns ``(targets, depths, reasons)``: (N, 2) dst pixels, (N,) dst
     camera-frame z, and (N,) uint8 reject codes (0 where the target is
     usable, else a RejectReason value). Rejected rows carry NaN targets.
-
-    Precomputed robust depth maps can be passed in to amortize the window
-    filters across calls on the same views.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -398,13 +370,8 @@ def reproject_points(
     depths = np.full(n, np.nan)
     reasons = np.full(n, RejectReason.INVALID_DEPTH, dtype=np.uint8)
 
-    if src_robust is None:
-        src_robust = robust_depth_map(src.depth, params)
-    if dst_robust is None:
-        dst_robust = robust_depth_map(dst.depth, params)
-
-    world, valid = _lift_points(points, src, src_robust)
-    targets[valid], depths[valid], reasons[valid] = _land_points(world, dst, dst_robust,
-                                                                 params)
+    world, valid = _lift_points(points, src, robust_depth_map(src.depth, params))
+    targets[valid], depths[valid], reasons[valid] = _land_points(
+        world, dst, robust_depth_map(dst.depth, params), params)
     return targets, depths, reasons
 

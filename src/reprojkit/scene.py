@@ -246,18 +246,17 @@ def _passes_within(bound, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (oo - b * b <= r2) & ((b > 0) | (oo <= r2))
 
 
-def look_at(position, target, up=(0.0, 0.0, 1.0)) -> PoseSE3:
+def look_at(position, target) -> PoseSE3:
     """Camera-to-world pose at ``position`` with +z toward ``target``.
 
-    Camera x points right, y down; ``up`` is the world up reference and
-    must not be parallel to the viewing direction.
+    Camera x points right, y down; world +z is up and must not be
+    parallel to the viewing direction.
     """
     position = np.asarray(position, dtype=np.float64)
     f = _unit(np.asarray(target, dtype=np.float64) - position)
-    upv = _unit(up)
-    if abs(np.dot(f, upv)) > 1.0 - 1e-9:
+    if abs(f[2]) > 1.0 - 1e-9:
         raise InvalidSpecError("viewing direction parallel to up vector")
-    x = _unit(np.cross(f, upv))
+    x = _unit(np.cross(f, (0.0, 0.0, 1.0)))
     y = np.cross(f, x)
     return PoseSE3(np.column_stack([x, y, f]), position)
 
@@ -270,7 +269,8 @@ class TrajectorySpec:
     place ``frames`` cameras on a circle of ``radius`` at ``height`` above
     the center, looking at it. Lines sweep laterally past the center at
     standoff ``radius``. Jitter composes each look-at pose with a random
-    rotation of at most ``jitter_deg`` degrees (seeded).
+    rotation of at most ``jitter_deg`` degrees (seeded); only
+    ``orbit-with-jitter`` takes a nonzero ``jitter_deg``.
     """
 
     kind: str = "orbit"
@@ -297,6 +297,9 @@ class TrajectorySpec:
             if not np.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"trajectory {name} must be finite, "
                                        f"got {getattr(self, name)!r}")
+        if self.jitter_deg > 0 and self.kind != "orbit-with-jitter":
+            raise InvalidSpecError(f"jitter_deg > 0 needs kind 'orbit-with-jitter', "
+                                   f"got {self.kind!r}")
 
 
 def _jitter_rotation(rng: np.random.Generator, max_deg: float) -> np.ndarray:
@@ -326,7 +329,7 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PoseSE3]:
     poses = []
     for pos in positions:
         pose = look_at(pos, center)
-        if spec.kind == "orbit-with-jitter" and spec.jitter_deg > 0:
+        if spec.jitter_deg > 0:
             pose = PoseSE3(pose.rotation @ _jitter_rotation(rng, spec.jitter_deg),
                            pose.translation)
         poses.append(pose)

@@ -1,5 +1,5 @@
 """Shared fixtures-in-code for the test suite: analytic views and poses,
-and the scalar robust-depth oracle."""
+and the projection and scalar robust-depth oracles."""
 
 import functools
 
@@ -8,8 +8,8 @@ from scipy.spatial.transform import Rotation
 
 from reprojkit.config import load_scene
 from reprojkit.errors import InvalidDepthError
-from reprojkit.geometry import (CameraIntrinsics, DepthMap, PoseSE3, RenderedView,
-                                ReprojectionParams)
+from reprojkit.geometry import (MIN_FRONT_Z, CameraIntrinsics, DepthMap, PoseSE3,
+                                RenderedView, ReprojectionParams)
 from reprojkit.scene import TrajectorySpec, generate_trajectory, render_view
 
 
@@ -41,6 +41,17 @@ def flat_view(cam, pose, plane_z, index=0):
     """RenderedView of a blank image over an analytic plane-depth map."""
     img = np.zeros((cam.height, cam.width, 3), dtype=np.uint8)
     return RenderedView(img, plane_depth(cam, pose, plane_z), cam, pose, index)
+
+
+def project(P: np.ndarray, cam: CameraIntrinsics, pose: PoseSE3):
+    """Pinhole projection of 3D world point(s) into a camera; returns
+    (pixel, camera z). Every point must be in front of the camera."""
+    X = pose.world_to_camera(np.asarray(P, dtype=np.float64))
+    z = X[..., 2]
+    assert np.all(z > MIN_FRONT_Z), "point is behind the camera"
+    pix = np.stack([cam.fx * X[..., 0] / z + cam.cx,
+                    cam.fy * X[..., 1] / z + cam.cy], axis=-1)
+    return pix, z
 
 
 def robust_depth(p: np.ndarray, depth: DepthMap, params: ReprojectionParams) -> float:

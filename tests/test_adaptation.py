@@ -405,7 +405,6 @@ def per_source_pseudo_labels(views, ref, detector, params, reproj):
     others = np.arange(ref + 1, ref + params.window_len)
     picked = sorted(rng.choice(others, size=params.n_sampled, replace=False).tolist())
     heat = np.asarray(detector(views[ref].image), dtype=np.float64)
-    dst_robust = robust_depth_map(views[ref].depth, reproj)
     take_max = params.aggregate == "max" or not picked
     acc = heat.copy() if take_max else np.zeros_like(heat)
     fold = np.maximum if take_max else np.add
@@ -415,9 +414,8 @@ def per_source_pseudo_labels(views, ref, detector, params, reproj):
         points = nms(heat_r, params.nms_radius, params.threshold)
         mask.fill(0.0)
         if len(points):
-            targets, _, reasons = reproject_points(
-                points.astype(np.float64), views[r], views[ref], reproj,
-                src_robust=robust_depth_map(views[r].depth, reproj), dst_robust=dst_robust)
+            targets, _, reasons = reproject_points(points.astype(np.float64), views[r],
+                                                   views[ref], reproj)
             ok = reasons == 0
             _stamp_patches(mask, heat_r, points[ok], np.rint(targets[ok]).astype(int),
                            params.patch // 2)

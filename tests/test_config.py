@@ -82,6 +82,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict({"trajectory": {"kind": "spiral"}})
 
+    def test_jitter_on_unjittered_kind_rejected(self):
+        with pytest.raises(ConfigError, match="^invalid trajectory: jitter_deg > 0 needs kind"):
+            config_from_dict({"trajectory": {"kind": "line", "jitter_deg": 2.0}})
+
     def test_invalid_top_level_value(self):
         with pytest.raises(ConfigError):
             config_from_dict({"n_pairs": 0})
@@ -339,7 +343,9 @@ class TestFloatFields:
     def test_int_accepted(self, section, name):
         # a valid int for every float field: negative_margin < positive_margin = 1
         value = 0 if name == "negative_margin" else 1
-        cfg = config_from_dict({section: {name: value}})
+        # a nonzero jitter needs the jittered trajectory kind
+        extra = {"kind": "orbit-with-jitter"} if name == "jitter_deg" else {}
+        cfg = config_from_dict({section: {name: value, **extra}})
         assert getattr(getattr(cfg, section), name) == value
 
 

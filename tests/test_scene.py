@@ -484,6 +484,10 @@ class TestTrajectories:
             TrajectorySpec(radius=0.0)
         with pytest.raises(InvalidSpecError):
             TrajectorySpec(frames=1)
+        # only orbit-with-jitter reads jitter_deg
+        for kind in ("orbit", "line"):
+            with pytest.raises(InvalidSpecError, match="orbit-with-jitter"):
+                TrajectorySpec(kind=kind, jitter_deg=2.0)
 
     @pytest.mark.parametrize("kw", [
         {"center": (0.0, 0.0)}, {"center": ()}, {"center": (0.0, 0.0, 0.0, 0.0)},
