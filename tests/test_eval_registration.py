@@ -1,5 +1,7 @@
 """Weighted rigid alignment, chamfer distance, and depth-map registration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -7,6 +9,7 @@ from scipy.spatial.transform import Rotation
 from reprojkit.errors import (
     DegenerateConfigurationError,
     EstimationFailedError,
+    InvalidSpecError,
     ShapeError,
 )
 from reprojkit.evaluation import (
@@ -16,7 +19,8 @@ from reprojkit.evaluation import (
     register_pair,
     rotation_error_deg,
 )
-from reprojkit.evaluation.registration import _grid_keypoints
+from reprojkit.evaluation import registration
+from reprojkit.evaluation.registration import _grid_keypoints, _nearest_distances
 from reprojkit.frontend import describe, match_mnn
 from reprojkit.geometry import PoseSE3, relative_pose
 from reprojkit.scene import Plane, SceneSpec, render_view
@@ -138,6 +142,132 @@ class TestChamfer:
         with pytest.raises(ShapeError):
             chamfer_distance(A, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 2, 3), (2,)])
+    def test_non_3d_clouds_rejected(self, shape):
+        bad = np.zeros(shape)
+        with pytest.raises(ShapeError):
+            chamfer_distance(bad, bad)
+        with pytest.raises(ShapeError):
+            chamfer_distance(np.zeros((4, 3)), bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        A = np.zeros((4, 3))
+        B = np.ones((5, 3))
+        B[2, 1] = value
+        with pytest.raises(InvalidSpecError):
+            chamfer_distance(A, B)
+        with pytest.raises(InvalidSpecError):
+            chamfer_distance(B, A)
+
+
+def kdtree_distances(A, B):
+    """Oracle: nearest-neighbor distances from scipy's KD-tree."""
+    from scipy.spatial import cKDTree
+    return cKDTree(B).query(A)[0]
+
+
+class TestNearestDistances:
+    """``_nearest_distances`` equals ``cKDTree(B).query(A)[0]`` bit for bit."""
+
+    @staticmethod
+    def check(A, B):
+        A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+        for X, Y in ((A, B), (B, A)):
+            got, want = _nearest_distances(X, Y), kdtree_distances(X, Y)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_random_clouds_with_ties_and_duplicates(self):
+        # Lattice points put many queries at equal distances from several
+        # points; repeated rows are duplicates at distance zero.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n, m = rng.integers(1, 300, 2)
+            B = rng.integers(-6, 7, (n, 3)) * 0.25
+            B = np.concatenate([B, B[:n // 3]])
+            A = rng.integers(-9, 10, (m, 3)) * 0.125
+            A[::2] += rng.normal(0.0, 0.05, A[::2].shape)
+            self.check(A, B)
+
+    def test_gaussian_and_clustered_clouds(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            B = rng.normal(size=(500, 3)) * rng.uniform(0.01, 10.0, 3)
+            centers = rng.uniform(-5, 5, (4, 3))
+            A = (centers[rng.integers(0, 4, 400)]
+                 + rng.normal(0.0, 0.02, (400, 3)))
+            self.check(A, B)
+
+    def test_one_point_cloud(self):
+        rng = np.random.default_rng(13)
+        self.check(rng.normal(size=(50, 3)) * 100.0, [[0.5, -2.0, 3.0]])
+        self.check([[1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]])
+
+    def test_coplanar_and_collinear_clouds(self):
+        rng = np.random.default_rng(14)
+        for axis in range(3):
+            B = rng.uniform(-1, 1, (400, 3))
+            B[:, axis] = 0.5
+            A = rng.uniform(-2, 2, (300, 3))
+            self.check(A, B)
+            self.check(B[:300] + rng.normal(0.0, 1e-3, (300, 3)), B)
+        line = np.outer(np.linspace(0.0, 3.0, 200), [1.0, -2.0, 0.5])
+        self.check(rng.uniform(-4, 4, (300, 3)), line)
+
+    def test_queries_far_outside_the_cloud(self):
+        # Each query needs many rounds of doubled cells before its ball
+        # reaches the cloud, or the grid shrinks to one cell.
+        rng = np.random.default_rng(15)
+        B = rng.uniform(0, 1, (800, 3))
+        for scale in (10.0, 1e3, 1e5):
+            A = rng.normal(size=(200, 3)) * scale
+            A[:100] += scale * 2
+            self.check(A, B)
+        self.check(B + 1e4, B)
+
+    def test_misregistered_surfaces(self, monkeypatch):
+        # Rotating two surfaces far off themselves leaves most queries far
+        # from every point, where their grid blocks grow crowded and they
+        # walk the cell pyramid instead.
+        calls = []
+        descend = registration._descend
+        monkeypatch.setattr(registration, "_descend",
+                            lambda *args: calls.append(len(args[3])) or descend(*args))
+        rng = np.random.default_rng(17)
+        ground = np.column_stack([rng.uniform(-3, 3, 3000), np.full(3000, 0.6),
+                                  rng.uniform(2, 8, 3000)])
+        wall = np.column_stack([rng.uniform(-3, 3, 1500), rng.uniform(-2, 0.6, 1500),
+                                np.full(1500, 8.0)])
+        B = np.concatenate([ground, wall])
+        for deg in (30.0, 90.0):
+            self.check(B @ rotation([0.3, 1.0, 0.2], deg).T, B)
+        assert sum(calls) > 1000
+
+    @pytest.mark.parametrize("span", [1e-6, 1e6])
+    def test_tiny_and_huge_spans(self, span):
+        rng = np.random.default_rng(16)
+        for offset in (0.0, 5e5, -3e-3):
+            B = offset + rng.uniform(0, span, (600, 3))
+            A = offset + rng.uniform(-span, 2 * span, (500, 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.check(A, B)
+
+    @pytest.mark.parametrize("kind, pair", [("general", (0, 3)), ("hires", (2, 5))])
+    def test_register_pair_clouds(self, kind, pair, monkeypatch):
+        clouds = []
+
+        def spy(A, B):
+            clouds.append((A, B))
+            return chamfer_distance(A, B)
+
+        monkeypatch.setattr(registration, "chamfer_distance", spy)
+        frames = rendered_frames(kind)
+        register_pair(frames[pair[0]], frames[pair[1]])
+        (A, B), = clouds
+        assert len(A) > 4000
+        self.check(A, B)
+
 
 class TestLiftToCamera:
     def test_fronto_parallel_plane(self):
@@ -157,6 +287,21 @@ class TestLiftToCamera:
         view.depth.valid[5, 7] = False
         pts, ok = lift_to_camera(view, np.array([[7.0, 5.0], [8.0, 5.0]]))
         assert not ok[0] and ok[1]
+
+    @pytest.mark.parametrize("xy", [(-3.0, 5.0), (5.0, -0.6), (32.6, 5.0), (5.0, 33.0),
+                                    (np.nan, 5.0)])
+    def test_pixels_outside_the_image_rejected(self, xy):
+        # A rounded index of -3 would otherwise wrap to the right edge.
+        cam = default_cam(width=33, height=33, f=32.0)
+        view = flat_view(cam, PoseSE3.identity(), plane_z=2.0)
+        with pytest.raises(ShapeError):
+            lift_to_camera(view, np.array([[16.0, 16.0], xy]))
+
+    def test_border_pixels_accepted(self):
+        cam = default_cam(width=33, height=33, f=32.0)
+        view = flat_view(cam, PoseSE3.identity(), plane_z=2.0)
+        _, ok = lift_to_camera(view, np.array([[-0.5, 0.0], [32.4, 32.4], [0.0, 32.0]]))
+        assert ok.all()
 
 
 def textured_pair(shift_x, seed=0, size=160, f=128.0, z=2.0):
