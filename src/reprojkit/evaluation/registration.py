@@ -17,25 +17,29 @@ from ..frontend import describe, features, match_mnn  # noqa: F401
 from ..geometry import PoseSE3, RenderedView, backproject, relative_pose
 from .pose import rotation_error_deg
 
-GRID_STEP = 4   # pixel spacing of the keypoint grid each view is described on
-CLOUD_STEP = 4  # stride through view1's valid pixels that forms the chamfer cloud
+GRID_STEP = 4    # pixel spacing of the keypoint grid each view is described on
+GRID_BORDER = 8  # pixels at each image edge that the keypoint grid leaves out
+CLOUD_STEP = 4   # stride through view1's valid pixels that forms the chamfer cloud
+_MAX_COORD = 1e150  # chamfer coordinates within it keep every squared distance finite
 
 # ``_nearest_distances``: the first cell side is _FIRST_CELL times the
 # spacing of n points spread over the two widest extents a, b of the cloud
-# searched, sqrt(a * b / n) (a / n for a line), and never below 1 / _MAX_CELLS
-# of the widest extent, which keeps every cell position exact to about 1e-11
-# of a cell.
+# searched, sqrt(a * b / n) (a / n for a line). It is never below 1 /
+# _MAX_CELLS of the widest extent, which keeps every cell position exact to
+# about 1e-11 of a cell; nor below 1 / _MAX_CELLS**2 of the farthest query
+# offset, which keeps query positions finite and the rounds of doubled cells
+# under about 40; nor below _MIN_SIDE, so that, within _MAX_COORD, squared
+# cell sides stay normal numbers and their inverses finite.
 _FIRST_CELL = 0.25
 _MAX_CELLS = 2 ** 16
-_SLACK = 1e-9          # relative margin on every certified radius and pruning bound
-_DESCEND = 256         # candidates above which a query leaves the grid for the pyramid
-_TOP_CELLS = 8         # cells at the top of the pyramid
-# Queries per block of grid lookups and of the descent, and query-point
-# distances in flight at once. The grid's sizes keep its temporaries under
-# 128 KB, so the allocator reuses heap blocks instead of mapping, faulting
-# and returning fresh pages each level.
+_MIN_SIDE = 1e-150
+_SLACK = 1e-9   # relative margin on every certified radius
+_CROWDED = 256  # candidates above which a query scans the whole cloud instead
+# Queries per block of grid lookups, and query-point distances in flight at
+# once. These sizes keep the grid's temporaries under 128 KB, so the
+# allocator reuses heap blocks instead of mapping, faulting and returning
+# fresh pages each level.
 _QUERY_BLOCK = 1024
-_DESCEND_BLOCK = 256
 _MAX_CANDIDATES = 2 ** 13
 _HASH = (-7046029254386353131, -4417276706812531889)  # odd 64-bit multipliers
 _STEPS = np.array([-1, 0, 1])
@@ -57,6 +61,8 @@ def kabsch_weighted(P: np.ndarray, Q: np.ndarray, weights=None):
     if weights is None:
         weights = np.ones(n)
     w = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(P).all() and np.isfinite(Q).all() and np.isfinite(w).all()):
+        raise InvalidSpecError("alignment needs finite points and weights")
     if w.shape != (n,) or np.any(w < 0):
         raise ShapeError("weights must be (N,) nonnegative")
     total = w.sum()
@@ -109,85 +115,10 @@ def _run_minima(Bt: np.ndarray, At: np.ndarray, q: np.ndarray, first: np.ndarray
     return out
 
 
-def _interleave(cells: np.ndarray) -> np.ndarray:
-    """Morton codes of (N, 3) cell indices below 2**21: their bits
-    interleaved, so each cell of every coarser level is a run of codes."""
-    code = 0
-    for axis in range(3):
-        v = cells[:, axis]
-        v = (v | v << 32) & 0x1F00000000FFFF
-        v = (v | v << 16) & 0x1F0000FF0000FF
-        v = (v | v << 8) & 0x100F00F00F00F00F
-        v = (v | v << 4) & 0x10C30C30C30C30C3
-        code = code | ((v | v << 2) & 0x1249249249249249) << axis
-    return code
-
-
-def _descend(Bt: np.ndarray, cells: np.ndarray, At: np.ndarray, q: np.ndarray,
-             bound: np.ndarray) -> np.ndarray:
-    """Smallest squared distance from each query ``At[:, q]`` to the points
-    ``Bt`` in first-level ``cells``, given squared distances ``bound`` to
-    points already seen.
-
-    The cells, in Morton order, form a pyramid: each level merges 2 x 2 x 2
-    cells and keeps the bounding box of their points. A query walks down
-    from the top keeping the boxes that may hold a point within its bound,
-    which falls to the smallest distance to a kept box's farthest corner
-    (every box holds a point), then scans the first-level cells it kept.
-    """
-    code = _interleave(cells)
-    order = np.argsort(code)
-    code = code[order]
-    Pt = Bt[:, order]
-    starts = np.flatnonzero(np.diff(code, prepend=-1))  # first point of each cell
-    sizes = np.diff(starts, append=len(code))
-    lo = np.minimum.reduceat(Pt, starts, axis=1)
-    hi = np.maximum.reduceat(Pt, starts, axis=1)
-    levels = [(lo, hi, None)]
-    cell_code = code[starts]
-    while len(cell_code) > _TOP_CELLS:
-        cell_code = cell_code >> 3
-        first = np.flatnonzero(np.diff(cell_code, prepend=-1))  # first child of each cell
-        cell_code = cell_code[first]
-        lo = np.minimum.reduceat(lo, first, axis=1)
-        hi = np.maximum.reduceat(hi, first, axis=1)
-        levels.append((lo, hi, first))
-    out = bound.copy()
-    for i in range(0, len(q), _DESCEND_BLOCK):
-        qb = q[i:i + _DESCEND_BLOCK]
-        at = At[:, qb]
-        u = bound[i:i + _DESCEND_BLOCK].copy()
-        top = levels[-1][0].shape[1]
-        owner = np.repeat(np.arange(len(qb)), top)
-        cell = np.tile(np.arange(top), len(qb))
-        for level in range(len(levels) - 1, -1, -1):
-            lo, hi, first = levels[level]
-            a = at[:, owner]
-            below = lo[:, cell] - a
-            above = a - hi[:, cell]
-            near = (np.maximum(np.maximum(below, above), 0.0) ** 2).sum(axis=0)
-            far = (np.maximum(-below, -above) ** 2).sum(axis=0)
-            seg = np.flatnonzero(np.diff(owner, prepend=-1))
-            u[owner[seg]] = np.minimum(u[owner[seg]], np.minimum.reduceat(far, seg))
-            keep = near <= u[owner] * (1.0 + 4 * _SLACK)
-            owner, cell = owner[keep], cell[keep]
-            if level:
-                end = np.append(first[1:], levels[level - 1][0].shape[1])
-                c0 = first[cell]
-                n_child = end[cell] - c0
-                cell = np.repeat(c0 - (np.cumsum(n_child) - n_child), n_child) \
-                    + np.arange(n_child.sum())
-                owner = np.repeat(owner, n_child)
-        leaf = _run_minima(Pt, At, qb[owner], starts[cell][:, None], sizes[cell][:, None])
-        seg = np.flatnonzero(np.diff(owner, prepend=-1))
-        rows = i + owner[seg]
-        out[rows] = np.minimum(out[rows], np.minimum.reduceat(leaf, seg))
-    return out
-
-
 def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance from each row of finite (M, 3) ``A`` to its nearest row of
-    finite, nonempty (N, 3) ``B``: ``cKDTree(B).query(A)[0]`` to the bit.
+    """Distance from each row of (M, 3) ``A`` to its nearest row of
+    nonempty (N, 3) ``B``, both finite and within ``_MAX_COORD``:
+    ``cKDTree(B).query(A)[0]`` to the bit.
 
     B is bucketed into cubic cells, hashed by their (x, y) column with
     each column's z cells on consecutive buckets. A query scans the 3 x 3
@@ -199,22 +130,23 @@ def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     fixed-radius search). Queries left open go on to cells of twice the
     side. Hash collisions and clipped edge cells only add real points of
     B, which cannot lower a minimum below the true one. A query whose
-    cells hold more than ``_DESCEND`` points, far from B's surface on
-    coarse cells, leaves the grid for ``_descend``.
+    cells hold more than ``_CROWDED`` points, far from B's surface on
+    coarse cells, scans every point of B instead, so the worst case is the
+    plain M x N scan.
     """
     n = len(B)
     lo = B.min(axis=0)
     extent = np.sort(B.max(axis=0) - lo)[::-1]
+    pos = A - lo
     side = max(_FIRST_CELL * max(np.sqrt(extent[0] * extent[1] / n), extent[0] / n),
-               extent[0] / _MAX_CELLS) or 1.0
+               extent[0] / _MAX_CELLS, np.abs(pos).max() / _MAX_CELLS ** 2, _MIN_SIDE)
     cells = np.floor((B - lo) / side).astype(np.int64)
     top = cells.max(axis=0)
-    pos = (A - lo) / side                      # queries in first-level cell units
+    pos /= side                                # queries in first-level cell units
     Bt, At = np.ascontiguousarray(B.T), np.ascontiguousarray(A.T)
     mask = (1 << (4 * n).bit_length()) - 1   # at least 4n buckets
     best = np.full(len(A), np.inf)             # squared distances
     todo = np.arange(len(A))
-    deep = [todo[:0]]
     level = 0
     while len(todo):
         grid = top >> level                    # largest cell index on each axis
@@ -248,17 +180,14 @@ def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             col = (cx[:, :, None] + cy[:, None, :]) & mask
             first = start[col + z0].reshape(len(q), 9)
             count = np.maximum(start[col + z1].reshape(len(q), 9) - first, 0)
-            heavy = count.sum(axis=1) > _DESCEND
-            deep.append(q[heavy])
+            heavy = count.sum(axis=1) > _CROWDED
             count[heavy] = 0
+            first[heavy, 0], count[heavy, 0] = 0, n   # all of B
             cur = np.minimum(best[q], _run_minima(sorted_t, At, q, first, count))
             best[q] = cur
             left.append(q[~heavy & (cur > r2 * (h * (1.0 - _SLACK)) ** 2)])
         todo = np.concatenate(left)
         level += 1
-    deep = np.concatenate(deep)
-    if len(deep):
-        best[deep] = _descend(Bt, cells, At, deep, best[deep])
     return np.sqrt(best)
 
 
@@ -268,14 +197,16 @@ def _cloud(X) -> np.ndarray:
         raise ShapeError(f"chamfer distance needs (N, 3) clouds, got shape {X.shape}")
     if len(X) == 0:
         raise ShapeError("chamfer distance needs nonempty clouds")
-    if not np.isfinite(X).all():
-        raise InvalidSpecError("chamfer distance needs finite coordinates")
+    if not (np.abs(X) <= _MAX_COORD).all():
+        raise InvalidSpecError(
+            f"chamfer distance needs finite coordinates within +-{_MAX_COORD:g}")
     return X
 
 
 def chamfer_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Symmetric mean nearest-neighbor distance between two finite,
-    nonempty (N, 3) clouds."""
+    """Symmetric mean nearest-neighbor distance between two nonempty (N, 3)
+    clouds whose coordinates are finite and within ``_MAX_COORD`` (1e150),
+    where no squared distance can overflow."""
     A, B = _cloud(A), _cloud(B)
     return float((_nearest_distances(A, B).mean() + _nearest_distances(B, A).mean()) / 2.0)
 
@@ -301,9 +232,9 @@ def lift_to_camera(view: RenderedView, xy: np.ndarray):
     return points, ok
 
 
-def _grid_keypoints(view: RenderedView, step: int, border: int = 8):
-    xs = np.arange(border, view.cam.width - border, step)
-    ys = np.arange(border, view.cam.height - border, step)
+def _grid_keypoints(view: RenderedView):
+    xs = np.arange(GRID_BORDER, view.cam.width - GRID_BORDER, GRID_STEP)
+    ys = np.arange(GRID_BORDER, view.cam.height - GRID_BORDER, GRID_STEP)
     gx, gy = np.meshgrid(xs, ys)
     return np.column_stack([gx.ravel(), gy.ravel()]).astype(np.float64)
 
@@ -326,8 +257,8 @@ def register_pair(view1: RenderedView, view2: RenderedView, ratio: float = 0.8,
     The chamfer distance compares view1's cloud moved by the estimated
     transform vs the ground-truth one, in view2's camera frame.
     """
-    kp1, d1 = features(view1.image, _grid_keypoints(view1, GRID_STEP), dim=dim)
-    kp2, d2 = features(view2.image, _grid_keypoints(view2, GRID_STEP), dim=dim)
+    kp1, d1 = features(view1.image, _grid_keypoints(view1), dim=dim)
+    kp2, d2 = features(view2.image, _grid_keypoints(view2), dim=dim)
     matches = match_mnn(d1, d2, ratio=ratio)
     if len(matches) == 0:
         raise EstimationFailedError("no descriptor matches to register")

@@ -105,6 +105,15 @@ class TestKabsch:
         with pytest.raises(DegenerateConfigurationError):
             kabsch_weighted(P, P, weights=np.zeros(10))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["P", "Q", "weights"])
+    def test_non_finite_rejected(self, where, value):
+        args = {"P": np.random.default_rng(5).normal(size=(10, 3)), "weights": np.ones(10)}
+        args["Q"] = args["P"] + 1.0
+        args[where][3, ...] = value
+        with pytest.raises(InvalidSpecError):
+            kabsch_weighted(**args)
+
 
 class TestChamfer:
     def test_identical_clouds(self):
@@ -159,6 +168,35 @@ class TestChamfer:
             chamfer_distance(A, B)
         with pytest.raises(InvalidSpecError):
             chamfer_distance(B, A)
+
+    @pytest.mark.parametrize("A, B", [
+        ([[1e308, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+        ([[0.0, 0.0, 0.0]], [[1e300, 0.0, 0.0]]),
+        ([[-1e308, 0.0, 0.0]], [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        ([[0.0, -1.1e150, 0.0]], [[1.0, 1.0, 1.0]]),
+    ])
+    def test_overflowing_coordinates_rejected(self, A, B):
+        # Squared distances of such clouds could overflow.
+        with pytest.raises(InvalidSpecError):
+            chamfer_distance(A, B)
+        with pytest.raises(InvalidSpecError):
+            chamfer_distance(B, A)
+
+
+def register_clouds(kind, pair, monkeypatch):
+    """The estimated and true clouds ``register_pair`` passes to chamfer."""
+    clouds = []
+
+    def spy(A, B):
+        clouds.append((A, B))
+        return chamfer_distance(A, B)
+
+    frames = rendered_frames(kind)
+    with monkeypatch.context() as m:
+        m.setattr(registration, "chamfer_distance", spy)
+        register_pair(frames[pair[0]], frames[pair[1]])
+    (A, B), = clouds
+    return A, B
 
 
 def kdtree_distances(A, B):
@@ -228,20 +266,35 @@ class TestNearestDistances:
     def test_misregistered_surfaces(self, monkeypatch):
         # Rotating two surfaces far off themselves leaves most queries far
         # from every point, where their grid blocks grow crowded and they
-        # walk the cell pyramid instead.
-        calls = []
-        descend = registration._descend
-        monkeypatch.setattr(registration, "_descend",
-                            lambda *args: calls.append(len(args[3])) or descend(*args))
+        # scan the whole other cloud instead.
+        scanned = set()
+        run_minima = registration._run_minima
+
+        def spy(Bt, At, q, first, count):
+            scanned.update(q[count.sum(axis=1) == Bt.shape[1]].tolist())
+            return run_minima(Bt, At, q, first, count)
+
+        monkeypatch.setattr(registration, "_run_minima", spy)
         rng = np.random.default_rng(17)
         ground = np.column_stack([rng.uniform(-3, 3, 3000), np.full(3000, 0.6),
                                   rng.uniform(2, 8, 3000)])
         wall = np.column_stack([rng.uniform(-3, 3, 1500), rng.uniform(-2, 0.6, 1500),
                                 np.full(1500, 8.0)])
         B = np.concatenate([ground, wall])
+        full_scans = 0
         for deg in (30.0, 90.0):
-            self.check(B @ rotation([0.3, 1.0, 0.2], deg).T, B)
-        assert sum(calls) > 1000
+            A = B @ rotation([0.3, 1.0, 0.2], deg).T
+            for X, Y in ((A, B), (B, A)):
+                scanned.clear()
+                got = _nearest_distances(X, Y)
+                full_scans += len(scanned)
+                assert got.tobytes() == kdtree_distances(X, Y).tobytes()
+        assert full_scans > 1000
+        # The real registration cloud, turned about its centroid
+        _, B = register_clouds("general", (0, 3), monkeypatch)
+        center = B.mean(axis=0)
+        for deg in (60.0, 90.0):
+            self.check((B - center) @ rotation([0.3, 1.0, 0.2], deg).T + center, B)
 
     @pytest.mark.parametrize("span", [1e-6, 1e6])
     def test_tiny_and_huge_spans(self, span):
@@ -253,18 +306,23 @@ class TestNearestDistances:
                 warnings.simplefilter("error")
                 self.check(A, B)
 
+    def test_subnormal_spread(self):
+        # A cell side of 1e-310 / 8 puts the query past the float range.
+        self.check([[1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1e-310, 0.0, 0.0]])
+        rng = np.random.default_rng(18)
+        self.check(rng.uniform(0, 1e-300, (300, 3)), rng.uniform(0, 1e-310, (400, 3)))
+        self.check(rng.uniform(0, 1e-160, (300, 3)), rng.uniform(0, 1e-160, (400, 3)))
+
+    def test_coordinates_at_the_bound(self):
+        # Far queries around a tiny cloud, and squared distances near 1e301
+        rng = np.random.default_rng(19)
+        self.check(rng.uniform(0, 1e-100, (300, 3)), [[1e110, 0.0, 0.0], [-1e140, 3.0, 1e150]])
+        self.check([[-1e150, 0.0, 0.0]], [[1e150, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        self.check(rng.uniform(-1e150, 1e150, (300, 3)), rng.uniform(-1e150, 1e150, (200, 3)))
+
     @pytest.mark.parametrize("kind, pair", [("general", (0, 3)), ("hires", (2, 5))])
     def test_register_pair_clouds(self, kind, pair, monkeypatch):
-        clouds = []
-
-        def spy(A, B):
-            clouds.append((A, B))
-            return chamfer_distance(A, B)
-
-        monkeypatch.setattr(registration, "chamfer_distance", spy)
-        frames = rendered_frames(kind)
-        register_pair(frames[pair[0]], frames[pair[1]])
-        (A, B), = clouds
+        A, B = register_clouds(kind, pair, monkeypatch)
         assert len(A) > 4000
         self.check(A, B)
 
@@ -361,7 +419,7 @@ class TestRegisterPair:
 
         frames = rendered_frames(kind)
         v1, v2 = frames[pair[0]], frames[pair[1]]
-        kp1, kp2 = _grid_keypoints(v1, 4), _grid_keypoints(v2, 4)
+        kp1, kp2 = _grid_keypoints(v1), _grid_keypoints(v2)
         d1, kept1 = describe(v1.image, kp1, dim=128)
         d2, kept2 = describe(v2.image, kp2, dim=128)
         kp1, kp2 = kp1[kept1], kp2[kept2]
