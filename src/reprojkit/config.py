@@ -180,18 +180,23 @@ def config_from_dict(d: dict) -> RunConfig:
         for k, v in d.items()}, "config")
 
 
-def load_config(path) -> RunConfig:
-    """Parse a JSON config file; referenced scene paths must exist."""
-    path = Path(path)
+def _read_json(path: Path, what: str):
+    """The parsed contents of a JSON file; a ``ConfigError`` naming ``what``
+    if it cannot be read or parsed."""
     try:
         text = path.read_text()
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    cfg = config_from_dict(data)
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
+
+
+def load_config(path) -> RunConfig:
+    """Parse a JSON config file; referenced scene paths must exist."""
+    path = Path(path)
+    cfg = config_from_dict(_read_json(path, "config"))
     if cfg.scene is not None and not cfg.scene.startswith("builtin:"):
         scene_path = Path(cfg.scene)
         if not scene_path.is_absolute():
@@ -277,11 +282,4 @@ def load_scene(ref: str | None) -> tuple[SceneSpec, CameraIntrinsics]:
             return BUILTIN_SCENES[ref]()
         except KeyError:
             raise ConfigError(f"unknown builtin scene {ref!r}") from None
-    path = Path(ref)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read scene {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"scene {path} is not valid JSON: {e}") from e
-    return scene_from_dict(data)
+    return scene_from_dict(_read_json(Path(ref), "scene"))

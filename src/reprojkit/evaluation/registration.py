@@ -49,7 +49,9 @@ def kabsch_weighted(P: np.ndarray, Q: np.ndarray, weights=None):
     """Rigid (R, t) minimizing sum of w * ||R p + t - q||^2.
 
     Weighted centroids plus SVD of the weighted cross-covariance, with
-    the determinant correction that excludes reflections.
+    the determinant correction that excludes reflections. Non-finite
+    input, and input whose centroids or covariance overflow, raise
+    ``InvalidSpecError``.
     """
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
@@ -65,14 +67,17 @@ def kabsch_weighted(P: np.ndarray, Q: np.ndarray, weights=None):
         raise InvalidSpecError("alignment needs finite points and weights")
     if w.shape != (n,) or np.any(w < 0):
         raise ShapeError("weights must be (N,) nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise DegenerateConfigurationError("all weights are zero")
-    p_bar = w @ P / total
-    q_bar = w @ Q / total
-    Pc = P - p_bar
-    Qc = Q - q_bar
-    M = Pc.T @ (w[:, None] * Qc)
+    # finite inputs can still overflow here; the check below catches that
+    # before the SVD, which does not converge on inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w.sum()
+        if total <= 0:
+            raise DegenerateConfigurationError("all weights are zero")
+        p_bar = w @ P / total
+        q_bar = w @ Q / total
+        M = (P - p_bar).T @ (w[:, None] * (Q - q_bar))
+    if not all(np.isfinite(a).all() for a in (total, p_bar, q_bar, M)):
+        raise InvalidSpecError("alignment overflows: points or weights are too large")
     u, s, vt = np.linalg.svd(M)
     if s[1] < 1e-12 * max(s[0], 1.0):
         raise DegenerateConfigurationError("weighted points are collinear or coincident")

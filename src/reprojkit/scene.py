@@ -23,6 +23,7 @@ Planes are never culled: the ground plane spans most of the view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,14 +303,41 @@ class TrajectorySpec:
                                    f"got {self.kind!r}")
 
 
-def _jitter_rotation(rng: np.random.Generator, max_deg: float) -> np.ndarray:
-    # imported here so that only jittered trajectories load scipy
-    from scipy.spatial.transform import Rotation
+def _rotvec_matrix(rotvec) -> np.ndarray:
+    """Rotation matrix of a rotation vector, through the unit quaternion.
 
+    The steps are those of scipy 1.17.1's ``Rotation.from_rotvec(rotvec)
+    .as_matrix()``: the angle as ``sqrt(x*x + y*y + z*z)``, the scale
+    ``sin(angle/2)/angle`` (its Taylor series up to ``angle**4`` at angles
+    <= 1e-3), and the same quaternion-to-matrix sums in the same order.
+    Each step is one correctly rounded double operation or a call to the C
+    library's ``sqrt``, ``sin`` or ``cos``, which scipy's compiled code
+    calls too, so the matrix equals scipy's bit for bit.
+    """
+    x, y, z = (float(v) for v in rotvec)
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        s = 0.5 - a2 / 48 + a2 * a2 / 3840
+    else:
+        s = math.sin(angle / 2) / angle
+    x, y, z, w = x * s, y * s, z * s, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
+
+
+def _jitter_rotation(rng: np.random.Generator, max_deg: float) -> np.ndarray:
+    """A rotation by a uniform angle in ``[0, max_deg]`` degrees about a
+    uniformly random axis. ``_rotvec_matrix`` repeats scipy's
+    ``Rotation.from_rotvec(...).as_matrix()`` step for step, so the matrix
+    is bit-equal to scipy's and jittered trajectories keep their bytes."""
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = np.radians(rng.uniform(0.0, max_deg))
-    return Rotation.from_rotvec(axis * angle).as_matrix()
+    return _rotvec_matrix(axis * angle)
 
 
 def generate_trajectory(spec: TrajectorySpec) -> list[PoseSE3]:

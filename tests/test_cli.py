@@ -781,13 +781,20 @@ def _scipy_modules_loaded(args):
 
 
 def test_stages_run_without_scipy(tmp_path):
-    """No stage of an unjittered config loads any scipy module."""
+    """No stage loads scipy."""
     out = tmp_path / "run"
     cfg = str(small_config_file(tmp_path, out, plane_only=True))
     for command in (["synth"], ["pairs"], ["labels"], ["eval", "--task", "pose"],
                     ["eval", "--task", "homography"], ["eval", "--task", "register"],
                     ["losscheck", "--instances", "2"]):
         assert _scipy_modules_loaded([*command, "-c", cfg]) == [], command
+    jittered = tmp_path / "jittered"
+    jittered.mkdir()
+    cfg = small_config_file(jittered, jittered / "run", plane_only=True,
+                            trajectory={"kind": "orbit-with-jitter", "frames": 4,
+                                        "radius": 2.0, "height": 1.2,
+                                        "jitter_deg": 2.0, "seed": 1})
+    assert _scipy_modules_loaded(["synth", "-c", str(cfg)]) == []
 
 
 def test_builtin_scene_configs_pass_validation():

@@ -114,6 +114,18 @@ class TestKabsch:
         with pytest.raises(InvalidSpecError):
             kabsch_weighted(**args)
 
+    def test_overflowing_points_rejected(self):
+        # finite, but the cross-covariance overflows to inf
+        P = np.random.default_rng(5).normal(size=(10, 3)) * 1e200
+        with pytest.raises(InvalidSpecError, match="overflows"):
+            kabsch_weighted(P, P + 1.0)
+
+    def test_overflowing_weights_rejected(self):
+        # finite, but the weight total overflows to inf
+        P = np.random.default_rng(5).normal(size=(10, 3))
+        with pytest.raises(InvalidSpecError, match="overflows"):
+            kabsch_weighted(P, P + 1.0, weights=np.full(10, 1e308))
+
 
 class TestChamfer:
     def test_identical_clouds(self):

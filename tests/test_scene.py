@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,8 @@ from reprojkit.scene import (
     SceneSpec,
     Sphere,
     TrajectorySpec,
+    _jitter_rotation,
+    _rotvec_matrix,
     generate_trajectory,
     look_at,
     render_view,
@@ -506,6 +509,50 @@ class TestTrajectories:
     def test_look_at_straight_down_degenerate(self):
         with pytest.raises(InvalidSpecError):
             look_at([0, 0, 2.0], [0, 0, 0.0])
+
+
+class TestJitterRotation:
+    """The numpy rotation of jittered orbits equals scipy's to the bit."""
+
+    @staticmethod
+    def scipy_matrix(rotvec):
+        from scipy.spatial.transform import Rotation
+        return Rotation.from_rotvec(rotvec).as_matrix()
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-300, np.nextafter(1e-3, 0.0), 1e-3,
+                                       np.nextafter(1e-3, 1.0), 0.5, np.pi, 3.5])
+    def test_angles_at_and_about_the_series_switch(self, angle):
+        for axis in ([1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.6, -0.8, 0.0]):
+            rotvec = np.array(axis) * angle
+            got = _rotvec_matrix(rotvec)
+            assert got.tobytes() == self.scipy_matrix(rotvec).tobytes(), (axis, angle)
+
+    @pytest.mark.parametrize("max_deg", [0.05, 2.0, 30.0, 180.0])
+    def test_random_rotation_vectors(self, max_deg):
+        # 0.05 degrees keeps every angle on the series branch (<= 1e-3 rad);
+        # 2 degrees and more put most of them on the sine branch
+        rng = np.random.default_rng(int(max_deg * 100))
+        for _ in range(500):
+            axis = rng.normal(size=3)
+            rotvec = axis / np.linalg.norm(axis) * np.radians(rng.uniform(0.0, max_deg))
+            got = _rotvec_matrix(rotvec)
+            assert got.tobytes() == self.scipy_matrix(rotvec).tobytes(), rotvec
+
+    def test_jitter_rotation_draws_and_matches_scipy(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            axis = twin.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            want = self.scipy_matrix(axis * np.radians(twin.uniform(0.0, 2.0)))
+            assert _jitter_rotation(rng, 2.0).tobytes() == want.tobytes()
+
+    def test_golden_jittered_orbit(self):
+        # sha256 of the poses computed with scipy 1.17.1's Rotation; a change
+        # of this hash moves every jittered dataset
+        spec = TrajectorySpec(kind="orbit-with-jitter", frames=200, jitter_deg=2.0, seed=1)
+        poses = np.stack([p.matrix for p in generate_trajectory(spec)])
+        assert hashlib.sha256(poses.tobytes()).hexdigest() == (
+            "2725dbcafafecb60fb64f14b20f717729572fc0e58d37178005d73e2bebec3cd")
 
 
 class TestSceneSpec:
