@@ -41,8 +41,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(
+                f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image "

@@ -19,6 +19,16 @@ primitive's unchanged ``intersect``, and elementwise numpy arithmetic
 does not depend on which other rays share the call, so the culled
 renderer is bit-identical to intersecting every ray with every primitive.
 Planes are never culled: the ground plane spans most of the view.
+
+Bands: ``render_view`` casts and shades a frame in consecutive bands of at
+most ``_BAND`` rays and writes each band into frame arrays allocated once,
+so its scratch memory follows the band, not the frame. The bands give the
+same bytes as one whole-frame cast. Every per-ray step is elementwise
+arithmetic or a product of the band's rows with a 3-vector or a 3x3
+matrix, and such a product rounds each row alike whatever other rows share
+it, as long as it has two or more rows. A one-row product can round
+differently (numpy then takes another BLAS path), so a one-ray tail is
+merged into the band before it, and only a one-pixel frame casts one ray.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
 from .textures import _as_color
 
 _EPS = 1e-9
+_BAND = 16384  # rays cast and shaded together; see the module docstring
 
 
 def _vec3(v, what: str) -> np.ndarray:
@@ -364,23 +375,39 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PoseSE3]:
     return poses
 
 
+def _bands(n: int):
+    """(start, stop) of the consecutive bands that cover ``n`` rays: at most
+    ``_BAND`` rays each, except that a one-ray tail joins the band before it."""
+    stops = list(range(_BAND, n, _BAND))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return zip([0, *stops], [*stops, n])
+
+
 def render_view(scene: SceneSpec, cam: CameraIntrinsics, pose: PoseSE3,
                 index: int = 0) -> RenderedView:
-    """Ray-cast one frame; depth is the Euclidean distance to the hit."""
-    dirs = cam.pixel_directions @ pose.rotation.T
-    t, nearest, uv = scene.intersect(pose.translation, dirs)
-    valid = nearest >= 0
+    """Ray-cast one frame, band by band; depth is the Euclidean distance to
+    the hit."""
+    n = cam.width * cam.height
+    image = np.empty((n, 3), dtype=np.uint8)
+    depth = np.empty(n)
+    valid = np.empty(n, dtype=bool)
+    background = _as_color(scene.background)
+    rotation_t = pose.rotation.T
+    for lo, hi in _bands(n):
+        dirs = cam.pixel_directions[lo:hi] @ rotation_t
+        t, nearest, uv = scene.intersect(pose.translation, dirs)
+        color = np.broadcast_to(background, dirs.shape).copy()
+        for i, prim in enumerate(scene.primitives):
+            mask = nearest == i
+            if not mask.any():
+                continue
+            hit_uv = uv[mask]
+            color[mask] = scene.textures[prim.texture].sample(hit_uv[:, 0], hit_uv[:, 1])
+        image[lo:hi] = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
+        valid[lo:hi] = nearest >= 0
+        depth[lo:hi] = np.where(valid[lo:hi], t, 0.0)
 
-    color = np.broadcast_to(_as_color(scene.background), dirs.shape).copy()
-    for i, prim in enumerate(scene.primitives):
-        mask = nearest == i
-        if not mask.any():
-            continue
-        hit_uv = uv[mask]
-        color[mask] = scene.textures[prim.texture].sample(hit_uv[:, 0], hit_uv[:, 1])
-
-    image = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
-    image = image.reshape(cam.height, cam.width, 3)
-    depth_vals = np.where(valid, t, 0.0).reshape(cam.height, cam.width)
-    depth = DepthMap(depth_vals, valid.reshape(cam.height, cam.width))
-    return RenderedView(image, depth, cam, pose, index)
+    shape = (cam.height, cam.width)
+    depth_map = DepthMap(depth.reshape(shape), valid.reshape(shape))
+    return RenderedView(image.reshape(*shape, 3), depth_map, cam, pose, index)

@@ -167,7 +167,8 @@ class TestSynth:
     @pytest.mark.parametrize("case", ["non-table primitive", "string seed", "float frames",
                                       "bool radius", "infinite sphere radius",
                                       "short trajectory center", "infinite trajectory radius",
-                                      "infinite trajectory height"])
+                                      "infinite trajectory height", "infinite camera fx",
+                                      "infinite camera fy"])
     def test_malformed_input_exits_1_without_traceback(self, tmp_path, case):
         out = tmp_path / "run"
         if case == "short trajectory center":
@@ -187,6 +188,13 @@ class TestSynth:
             text = (tmp_path / "scene.json").read_text()
             assert text.count('"radius": 0.25') == 1
             (tmp_path / "scene.json").write_text(text.replace('"radius": 0.25', '"radius": 1e999'))
+        elif case.startswith("infinite camera"):
+            cfg = small_config_file(tmp_path, out)
+            key = case.split()[-1]
+            text = (tmp_path / "scene.json").read_text()
+            assert text.count(f'"{key}": 64.0') == 1
+            (tmp_path / "scene.json").write_text(text.replace(f'"{key}": 64.0',
+                                                              f'"{key}": Infinity'))
         else:
             cfg = small_config_file(tmp_path, out)
             scene = json.loads((tmp_path / "scene.json").read_text())
@@ -198,6 +206,8 @@ class TestSynth:
                              capture_output=True, text=True, env=env, timeout=120)
         assert res.returncode == 1
         assert res.stderr.startswith("config error: ")
+        if case.startswith("infinite camera"):
+            assert res.stderr.startswith("config error: malformed scene: invalid camera: ")
         assert "Traceback" not in res.stderr
         assert not (out / "report.json").exists()
 

@@ -178,6 +178,18 @@ class TestScenes:
         spec2, cam2 = scene_from_dict(scene_to_dict(spec, cam))
         assert spec2 == spec and cam2 == cam
 
+    @pytest.mark.parametrize("key", ["fx", "fy"])
+    def test_infinite_focal_length_file_rejected(self, tmp_path, key):
+        # JSON's Infinity used to load and render rows of one colour and depth
+        spec, cam = load_scene("builtin:general")
+        text = canonical_json(scene_to_dict(spec, cam))
+        assert text.count(f'"{key}": 128.0') == 1
+        path = tmp_path / "scene.json"
+        path.write_text(text.replace(f'"{key}": 128.0', f'"{key}": Infinity'))
+        with pytest.raises(ConfigError, match="malformed scene: invalid camera: "
+                                              "focal lengths must be positive and finite"):
+            load_scene(str(path))
+
     def test_malformed_scene_dict(self):
         with pytest.raises(ConfigError, match="malformed scene"):
             scene_from_dict({"camera": {}})
@@ -282,6 +294,8 @@ MALFORMED_SCENES = {
     "bool sphere radius": _edited(primitives=[
         {"kind": "sphere", "center": [0, 0, 0], "radius": True}]),
     "bool camera focal length": _camera_with(fx=True),
+    "infinite camera fx": _camera_with(fx=float("inf")),
+    "infinite camera fy": _camera_with(fy=float("inf")),
 }
 
 MALFORMED_CONFIGS = {

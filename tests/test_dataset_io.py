@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -192,6 +193,16 @@ class TestDatasetErrors:
         ds = read_dataset(tmp_path / "ds")
         with pytest.raises(DatasetError, match="frame 1"):
             ds.view(1)
+
+    @pytest.mark.parametrize("key", ["fx", "fy"])
+    def test_infinite_focal_length_in_manifest(self, tmp_path, key):
+        write_dataset(make_views(2), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = float("inf")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="malformed manifest.*positive and finite"):
+            read_dataset(tmp_path / "ds")
 
     def test_corrupt_manifest(self, tmp_path):
         write_dataset(make_views(2), tmp_path / "ds")

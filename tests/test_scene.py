@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import default_cam
+from reprojkit import scene as scene_module
 from reprojkit.config import load_scene, scene_from_dict, scene_to_dict
 from reprojkit.errors import ConfigError, EmptySceneError, InvalidSpecError
 from reprojkit.geometry import CameraIntrinsics, PoseSE3
@@ -17,6 +19,7 @@ from reprojkit.scene import (
     SceneSpec,
     Sphere,
     TrajectorySpec,
+    _bands,
     _jitter_rotation,
     _rotvec_matrix,
     generate_trajectory,
@@ -232,6 +235,8 @@ class TestCulledRendererMatchesFullRay:
 
     @pytest.mark.parametrize("k", range(3))
     def test_hires_line(self, k):
+        # several bands at the default _BAND
+        assert len(list(_bands(HIRES_CAM.width * HIRES_CAM.height))) > 1
         pose = _poses(TrajectorySpec(kind="line", frames=40), (0, 19, 39))[k]
         assert_renders_like_full_ray(GENERAL_SCENE, HIRES_CAM, pose)
 
@@ -344,19 +349,80 @@ class TestCulledRendererMatchesFullRay:
         assert 0 < (idx == 0).sum() < len(idx)
 
 
+class TestBands:
+    SMALL_CAM = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
+
+    @pytest.mark.parametrize("band", [2, 7, 100, 2500, 2501, 4096])
+    def test_band_edges(self, monkeypatch, band):
+        # 2,501 rays: bands of 100 and of 2500 leave a one-ray tail to merge
+        monkeypatch.setattr(scene_module, "_BAND", band)
+        for pose in _poses(TrajectorySpec(frames=200), (0, 90)):
+            assert_renders_like_full_ray(GENERAL_SCENE, self.SMALL_CAM, pose)
+
+    def test_one_ray_tail_pointed_at_the_sphere(self, monkeypatch):
+        # the last pixel sees the sphere, whose hit depends on every bit of
+        # the ray; on some BLAS builds a one-row rotation rounds it
+        # differently from the same row in a larger product
+        monkeypatch.setattr(scene_module, "_BAND", 100)
+        cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=57.0, cy=38.0, width=61, height=41)
+        spec = TrajectorySpec(frames=200, center=SPHERE.center)
+        for pose in _poses(spec, (34, 129, 171)):
+            view = assert_renders_like_full_ray(GENERAL_SCENE, cam, pose)
+            assert view.depth.valid[-1, -1]
+
+    @pytest.mark.parametrize("band", [2, 3, 100, 2500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 99, 100, 101, 2500, 2501, 2502])
+    def test_bands_cover_the_frame_without_one_ray_bands(self, monkeypatch, band, n):
+        monkeypatch.setattr(scene_module, "_BAND", band)
+        bands = list(_bands(n))
+        assert bands[0][0] == 0 and bands[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+        sizes = [hi - lo for lo, hi in bands]
+        assert all(1 < k <= band + 1 or n == 1 for k in sizes), sizes
+        assert sum(k > band for k in sizes) <= 1
+
+    def test_one_pixel_camera(self):
+        cam = CameraIntrinsics(fx=2.0, fy=2.0, cx=0.5, cy=0.5, width=1, height=1)
+        for pose in _poses(TrajectorySpec(frames=200), (0, 90)):
+            view = assert_renders_like_full_ray(GENERAL_SCENE, cam, pose)
+            assert view.depth.valid.all()
+
+    @pytest.mark.parametrize("size", [(320, 240), (1280, 960)])
+    def test_scratch_memory_does_not_grow_with_the_frame(self, size):
+        width, height = size
+        cam = CameraIntrinsics(fx=0.8 * width, fy=0.8 * width, cx=(width - 1) / 2,
+                               cy=(height - 1) / 2, width=width, height=height)
+        pose = generate_trajectory(TrajectorySpec(frames=200))[0]
+        cam.pixel_directions  # the camera's cached rays are not render scratch
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            view = render_view(GENERAL_SCENE, cam, pose)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frame = view.image.nbytes + view.depth.values.nbytes + view.depth.valid.nbytes
+        assert peak - frame < 8e6, (peak, frame)
+
+
 class TestCulling:
     def test_default_orbit_frame_0_casts_few_rays_at_spheres_and_boxes(self, monkeypatch):
-        rays = []
+        # each sphere and box is called at most once per band, and over the
+        # frame's bands it sees few of the frame's rays
+        rays = {}
         for cls in (Sphere, Box):
             def counting(self, origins, dirs, real=cls.intersect):
-                rays.append(len(dirs))
+                rays.setdefault(self, []).append(len(dirs))
                 return real(self, origins, dirs)
             monkeypatch.setattr(cls, "intersect", counting)
         pose = generate_trajectory(TrajectorySpec(frames=200))[0]
         render_view(GENERAL_SCENE, GENERAL_CAM, pose)
         n = GENERAL_CAM.width * GENERAL_CAM.height
-        assert len(rays) == 3
-        assert all(0 < k < 0.1 * n for k in rays), rays
+        culled = [p for p in GENERAL_SCENE.primitives if not isinstance(p, Plane)]
+        assert len(culled) == 3 and set(rays) == set(culled)
+        n_bands = len(list(_bands(n)))
+        assert all(len(k) <= n_bands for k in rays.values()), rays
+        assert all(0 < sum(k) < 0.1 * n for k in rays.values()), rays
 
     def test_pixel_directions_are_computed_once_per_camera(self, monkeypatch):
         cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=30.0, cy=20.0, width=61, height=41)
