@@ -120,6 +120,23 @@ def _run_minima(Bt: np.ndarray, At: np.ndarray, q: np.ndarray, first: np.ndarray
     return out
 
 
+def _scan_all(Bt: np.ndarray, At: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Smallest squared distance from each query ``At[:, q]`` to every
+    point of ``Bt``, summed as ``_run_minima`` sums them, in chunks of
+    queries that keep about ``_MAX_CANDIDATES`` distances."""
+    out = np.empty(len(q))
+    step = max(1, _MAX_CANDIDATES // Bt.shape[1])
+    for i in range(0, len(q), step):
+        rows = q[i:i + step]
+        sq = None
+        for b, a in zip(Bt, At):
+            d = b - a[rows, None]
+            d *= d
+            sq = d if sq is None else sq + d
+        out[i:i + step] = sq.min(axis=1)
+    return out
+
+
 def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distance from each row of (M, 3) ``A`` to its nearest row of
     nonempty (N, 3) ``B``, both finite and within ``_MAX_COORD``:
@@ -187,8 +204,10 @@ def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             count = np.maximum(start[col + z1].reshape(len(q), 9) - first, 0)
             heavy = count.sum(axis=1) > _CROWDED
             count[heavy] = 0
-            first[heavy, 0], count[heavy, 0] = 0, n   # all of B
-            cur = np.minimum(best[q], _run_minima(sorted_t, At, q, first, count))
+            cur = _run_minima(sorted_t, At, q, first, count)
+            if heavy.any():
+                cur[heavy] = _scan_all(Bt, At, q[heavy])
+            cur = np.minimum(best[q], cur)
             best[q] = cur
             left.append(q[~heavy & (cur > r2 * (h * (1.0 - _SLACK)) ** 2)])
         todo = np.concatenate(left)

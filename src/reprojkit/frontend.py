@@ -15,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import nms
 from .errors import ImageTooSmallError, InvalidSpecError, ShapeError
+from .geometry import _row_bands
 
 PATCH = 16          # descriptor support side in pixels
 SPATIAL_BINS = 4    # descriptor spatial grid per side
@@ -217,62 +218,78 @@ class MatchSet:
         return len(self.indices1)
 
 
-def _nearest(sims: np.ndarray, ratio: float | None):
-    """Per row: the column of the largest similarity and, with ``ratio``,
-    whether the Lowe-style test nearest/second-nearest distance < ratio
-    passes (all True without one).
+def _ratio_ok(best: np.ndarray, second: np.ndarray, ratio: float) -> np.ndarray:
+    """The Lowe-style test nearest/second-nearest distance < ``ratio`` from
+    the largest and second largest similarities.
 
-    Rows are copied ``_BLOCK`` at a time, so a transposed ``sims`` costs
-    no full-size copy. The unit-descriptor distance ``sqrt(max(2 - 2s, 0))``
-    never increases with the similarity ``s``, so a row's two smallest
-    distances are the distances of its two largest similarities: only
-    those two are mapped. The second largest is the row maximum once the
-    argmax cell is set to -inf, so an equal maximum elsewhere is found.
+    The unit-descriptor distance ``sqrt(max(2 - 2s, 0))`` never increases
+    with the similarity ``s``, so the two smallest distances are the
+    distances of the two largest similarities: only those two are mapped.
     """
-    n, m = sims.shape
-    nearest = np.empty(n, dtype=np.intp)
-    ok = np.ones(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        block = np.array(sims[start:start + _BLOCK], order="C")
-        rows = slice(start, start + len(block))
-        best_col = block.argmax(axis=1)
-        nearest[rows] = best_col
-        if ratio is None or m < 2:
-            continue
-        top = np.arange(len(block)), best_col
-        best_sim = block[top]
-        block[top] = -np.inf
-        sim = np.stack([block.max(axis=1), best_sim])
-        second, best = np.sqrt(np.maximum(2.0 - 2.0 * sim, 0.0))
-        # a zero second-best distance means duplicates; ratio 1 fails the test
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok[rows] = np.where(second > 0, best / second, 1.0) < ratio
-    return nearest, ok
+    best_d, second_d = np.sqrt(np.maximum(2.0 - 2.0 * np.stack([best, second]), 0.0))
+    # a zero second-best distance means duplicates; ratio 1 fails the test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(second_d > 0, best_d / second_d, 1.0) < ratio
 
 
 def match_mnn(desc1: np.ndarray, desc2: np.ndarray, ratio: float | None = None) -> MatchSet:
     """Mutual nearest neighbors by inner product, optional symmetric ratio test.
 
-    Only the similarity matrix is full size: each direction's argmax and
-    ratio test work on copies of ``_BLOCK`` rows or columns. Descriptors
-    must be finite.
+    One pass over bands of ``_BLOCK`` rows of ``desc1`` (a one-row tail
+    joins the band before it): each band's product with ``desc2`` gives
+    its rows' argmax, best and second best similarity, and updates every
+    column's running best, argmax and second best. A later band takes a
+    column only with a strictly greater similarity, so the first index
+    wins ties, as ``argmax`` does. A second best is the largest similarity
+    outside the argmax cell, so an equal maximum elsewhere counts. No
+    array is ``len(desc1) x len(desc2)``. A match's similarity is its
+    row's best. At some shapes a band product differs from the same rows
+    of the whole ``desc1 @ desc2.T`` in the last bit (BLAS picks kernels
+    by shape). Descriptors must be finite.
     """
+    if ratio is not None and not 0.0 < ratio <= 1.0:
+        raise InvalidSpecError(f"ratio must be in (0, 1], got {ratio}")
     desc1 = np.atleast_2d(np.asarray(desc1, dtype=np.float64))
     desc2 = np.atleast_2d(np.asarray(desc2, dtype=np.float64))
     if desc1.shape[1] != desc2.shape[1]:
         raise ShapeError("descriptor dimensions differ")
     if not (np.isfinite(desc1).all() and np.isfinite(desc2).all()):
         raise InvalidSpecError("descriptors must be finite")
-    if len(desc1) == 0 or len(desc2) == 0:
+    n, m = len(desc1), len(desc2)
+    if n == 0 or m == 0:
         z = np.zeros(0, dtype=int)
         return MatchSet(z, z, np.zeros(0))
-    if ratio is not None and not 0.0 < ratio <= 1.0:
-        raise InvalidSpecError(f"ratio must be in (0, 1], got {ratio}")
-    sims = desc1 @ desc2.T
-    nn12, ok12 = _nearest(sims, ratio)
-    nn21, ok21 = _nearest(sims.T, ratio)
-    idx1 = np.flatnonzero(nn21[nn12] == np.arange(len(desc1)))
+    row_ratio = ratio is not None and m > 1
+    col_ratio = ratio is not None and n > 1
+    nn12 = np.empty(n, dtype=np.intp)
+    best12 = np.empty(n)
+    ok12 = np.ones(n, dtype=bool)
+    nn21 = np.zeros(m, dtype=np.intp)
+    best21 = np.full(m, -np.inf)
+    second21 = np.full(m, -np.inf)
+    cols = np.arange(m)
+    for lo, hi in _row_bands(n, _BLOCK):
+        sims = desc1[lo:hi] @ desc2.T
+        arg = sims.argmax(axis=0)
+        best = sims[arg, cols]
+        take = best > best21
+        if col_ratio:
+            sims[arg, cols] = -np.inf
+            second = sims.max(axis=0)
+            sims[arg, cols] = best
+            second21 = np.where(take, np.maximum(best21, second),
+                                np.maximum(second21, best))
+        nn21[take] = arg[take] + lo
+        best21[take] = best[take]
+        nn12[lo:hi] = sims.argmax(axis=1)
+        top = np.arange(hi - lo), nn12[lo:hi]
+        best12[lo:hi] = sims[top]
+        if row_ratio:
+            sims[top] = -np.inf
+            ok12[lo:hi] = _ratio_ok(best12[lo:hi], sims.max(axis=1), ratio)
+    ok21 = _ratio_ok(best21, second21, ratio) if col_ratio else np.ones(m, dtype=bool)
+    idx1 = np.flatnonzero(nn21[nn12] == np.arange(n))
     idx2 = nn12[idx1]
     keep = ok12[idx1] & ok21[idx2]
     idx1, idx2 = idx1[keep], idx2[keep]
-    return MatchSet(idx1, idx2, sims[idx1, idx2])
+    return MatchSet(idx1, idx2, best12[idx1])

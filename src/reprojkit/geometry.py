@@ -29,6 +29,20 @@ MIN_FRONT_Z = 1e-9
 BORDER_TOL = 1e-9
 
 
+def _row_bands(n: int, size: int):
+    """(start, stop) of the consecutive bands that cover ``n`` rows: at most
+    ``size`` rows each, except that a one-row tail joins the band before it.
+
+    A one-row matrix product can round differently from the same row in a
+    larger product (numpy then takes another BLAS path), so only ``n == 1``
+    gives a one-row band.
+    """
+    stops = list(range(size, n, size))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return zip([0, *stops], [*stops, n])
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole calibration: focal lengths, principal point, image size."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySceneError, InvalidSpecError
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3, RenderedView, _row_bands
 from .textures import _as_color
 
 _EPS = 1e-9
@@ -376,12 +376,8 @@ def generate_trajectory(spec: TrajectorySpec) -> list[PoseSE3]:
 
 
 def _bands(n: int):
-    """(start, stop) of the consecutive bands that cover ``n`` rays: at most
-    ``_BAND`` rays each, except that a one-ray tail joins the band before it."""
-    stops = list(range(_BAND, n, _BAND))
-    if stops and n - stops[-1] == 1:
-        stops.pop()
-    return zip([0, *stops], [*stops, n])
+    """The bands of at most ``_BAND`` rays that cover ``n`` rays."""
+    return _row_bands(n, _BAND)
 
 
 def render_view(scene: SceneSpec, cam: CameraIntrinsics, pose: PoseSE3,

@@ -401,6 +401,18 @@ class TestEval:
             assert "mean" in r[family] and "median" in r[family]
             assert any(k.startswith("acc@") for k in r[family])
 
+    def test_register_on_21_general_frames_registers_some_pairs(self, runner, tmp_path):
+        # the default scene and camera on a 21-frame orbit
+        cfg = tmp_path / "labels.json"
+        cfg.write_text('{"trajectory": {"frames": 21}, '
+                       '"sampling": {"min_offset": 2, "max_offset": 10}}')
+        out = tmp_path / "labels"
+        for args in (["synth"], ["eval", "--task", "register", "--threads", "1"]):
+            res = runner.invoke(cli.main, [*args, "-c", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        r = read_report(out)["results"]
+        assert r["failed"] < r["pairs"], r
+
     @pytest.mark.parametrize("command, section, key, value", [
         (["eval", "--task", "register"], "eval", "descriptor_dim", 0),
         (["eval", "--task", "pose"], "eval", "nms_radius", 0),

@@ -280,13 +280,13 @@ class TestNearestDistances:
         # from every point, where their grid blocks grow crowded and they
         # scan the whole other cloud instead.
         scanned = set()
-        run_minima = registration._run_minima
+        scan_all = registration._scan_all
 
-        def spy(Bt, At, q, first, count):
-            scanned.update(q[count.sum(axis=1) == Bt.shape[1]].tolist())
-            return run_minima(Bt, At, q, first, count)
+        def spy(Bt, At, q):
+            scanned.update(q.tolist())
+            return scan_all(Bt, At, q)
 
-        monkeypatch.setattr(registration, "_run_minima", spy)
+        monkeypatch.setattr(registration, "_scan_all", spy)
         rng = np.random.default_rng(17)
         ground = np.column_stack([rng.uniform(-3, 3, 3000), np.full(3000, 0.6),
                                   rng.uniform(2, 8, 3000)])

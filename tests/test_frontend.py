@@ -8,7 +8,7 @@ import pytest
 from reprojkit import frontend
 from reprojkit.errors import ImageTooSmallError, InvalidSpecError, ShapeError
 from reprojkit.frontend import describe, detect, features, match_mnn, top_k
-from reprojkit.geometry import PoseSE3
+from reprojkit.geometry import PoseSE3, _row_bands
 from reprojkit.scene import Plane, SceneSpec, render_view
 from reprojkit.textures import CheckerTexture
 
@@ -484,6 +484,9 @@ class TestMatching:
             match_mnn(np.zeros((2, 4)), np.zeros((2, 5)))
         with pytest.raises(InvalidSpecError):
             match_mnn(np.ones((2, 4)), np.ones((2, 4)), ratio=1.5)
+        for ratio in (1.5, -2):  # checked before the empty-input shortcut
+            with pytest.raises(InvalidSpecError, match="ratio"):
+                match_mnn(np.zeros((0, 8)), np.zeros((3, 8)), ratio=ratio)
 
 
 def _ratio_ok_oracle(sims, nearest, ratio):
@@ -500,10 +503,16 @@ def _ratio_ok_oracle(sims, nearest, ratio):
     return r < ratio
 
 
+def band_product(desc1, desc2):
+    """``desc1 @ desc2.T`` formed band by band, as ``match_mnn`` forms it."""
+    return np.concatenate([desc1[lo:hi] @ desc2.T
+                           for lo, hi in _row_bands(len(desc1), frontend._BLOCK)])
+
+
 def match_mnn_oracle(desc1, desc2, ratio=None):
     """Full-size ``match_mnn``: column argmax and both ratio tests over the
-    whole similarity matrix."""
-    sims = desc1 @ desc2.T
+    whole similarity matrix, whose rows are the band products."""
+    sims = band_product(desc1, desc2)
     nn12 = np.argmax(sims, axis=1)
     nn21 = np.argmax(sims, axis=0)
     idx1 = np.flatnonzero(nn21[nn12] == np.arange(len(desc1)))
@@ -530,7 +539,10 @@ def _register_grid_descriptors(seed):
 
 
 class TestMatchBlocks:
-    """Block-wise ``match_mnn`` against the full-matrix version, exactly."""
+    """Band-wise ``match_mnn`` against the full-matrix version, exactly, at
+    the default ``_BLOCK`` and at small ones."""
+
+    BLOCKS = (2, 7, 128)
 
     def check(self, a, b, ratio):
         m = match_mnn(a, b, ratio=ratio)
@@ -541,50 +553,65 @@ class TestMatchBlocks:
         return m
 
     @pytest.mark.parametrize("ratio", [None, 0.8, 0.95, 1.0])
-    def test_random_sizes_across_block_boundaries(self, ratio):
-        rng = np.random.default_rng(40)
-        block = frontend._BLOCK
-        for n, m in ((1, 1), (1, 5), (5, 1), (2, 2), (block, block + 1),
-                     (block + 1, block - 1), (2 * block + 3, 300), (37, 2 * block)):
-            self.check(_unit_rows(rng, n, 8), _unit_rows(rng, m, 8), ratio)
+    def test_random_sizes_across_block_boundaries(self, monkeypatch, ratio):
+        # block + 1 rows, and 2 * block + 3 when block is 2, end in a one-row tail
+        for block in self.BLOCKS:
+            monkeypatch.setattr(frontend, "_BLOCK", block)
+            rng = np.random.default_rng(40)
+            for n, m in ((1, 1), (1, 5), (5, 1), (2, 2), (block, block + 1),
+                         (block + 1, block - 1), (2 * block + 3, 300), (37, 2 * block)):
+                self.check(_unit_rows(rng, n, 8), _unit_rows(rng, m, 8), ratio)
 
     @pytest.mark.parametrize("ratio", [None, 0.8, 0.95, 1.0])
-    def test_ties_and_exact_duplicates(self, ratio):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            # few distinct rounded directions: many tied similarities
-            a = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
-            b = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
-            a[~a.any(axis=1), 0] = 1.0
-            b[~b.any(axis=1), 0] = 1.0
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
-            b /= np.linalg.norm(b, axis=1, keepdims=True)
-            b[:len(b) // 2] = a[rng.integers(0, len(a), len(b) // 2)]
-            self.check(a, b, ratio)
+    def test_ties_and_exact_duplicates(self, monkeypatch, ratio):
+        for block in self.BLOCKS:
+            monkeypatch.setattr(frontend, "_BLOCK", block)
+            rng = np.random.default_rng(41)
+            for _ in range(20):
+                # few distinct rounded directions: many tied similarities
+                a = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
+                b = np.round(rng.normal(size=(int(rng.integers(2, 200)), 3)))
+                a[~a.any(axis=1), 0] = 1.0
+                b[~b.any(axis=1), 0] = 1.0
+                a /= np.linalg.norm(a, axis=1, keepdims=True)
+                b /= np.linalg.norm(b, axis=1, keepdims=True)
+                b[:len(b) // 2] = a[rng.integers(0, len(a), len(b) // 2)]
+                self.check(a, b, ratio)
 
-    def test_unnormalized_descriptors(self):
+    def test_unnormalized_descriptors(self, monkeypatch):
         # similarities above 1 all map to distance 0: ties in distance only
-        rng = np.random.default_rng(42)
-        for ratio in (None, 0.8, 1.0):
-            self.check(rng.normal(size=(150, 4)) * 3, rng.normal(size=(140, 4)) * 3, ratio)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(frontend, "_BLOCK", block)
+            rng = np.random.default_rng(42)
+            for n in (150, block + 1):
+                for ratio in (None, 0.8, 1.0):
+                    self.check(rng.normal(size=(n, 4)) * 3, rng.normal(size=(140, 4)) * 3,
+                               ratio)
 
     def test_register_grid(self):
         a, b = _register_grid_descriptors(43), _register_grid_descriptors(44)
         for ratio in (None, 0.8, 0.95):
             self.check(a, b, ratio)
 
+    @pytest.mark.parametrize("size", [2, 7, 128, 1000])
+    def test_register_grid_band_product_is_exact(self, monkeypatch, size):
+        # the band products of the register grid are the rows of the whole
+        # product to the bit, so `eval register` reports keep their bytes
+        monkeypatch.setattr(frontend, "_BLOCK", size)
+        a, b = _register_grid_descriptors(43), _register_grid_descriptors(44)
+        assert band_product(a, b).tobytes() == (a @ b.T).tobytes()
+
     def test_register_grid_in_bounded_memory(self):
         a, b = _register_grid_descriptors(45), _register_grid_descriptors(46)
-        sims_bytes = len(a) * len(b) * 8
         tracemalloc.start()
         try:
             match_mnn(a, b, ratio=0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # only the 13.4 MB similarity matrix is full size; a full-size
-        # distance matrix or column-argmax copy would add another 13.4 MB
-        assert peak <= sims_bytes + 4e6
+        # one band of 128 x 1296 similarities is 1.3 MB; the whole
+        # 1296 x 1296 matrix would be 13.4 MB
+        assert peak <= 4e6, peak
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_descriptors_rejected(self, bad):
